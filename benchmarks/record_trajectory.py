@@ -12,18 +12,12 @@ current fast paths so every snapshot carries its own before/after ratio:
   (per-byte rounds, one block per call) vs the bulk vectorized path, plus
   the warm-keystream-cache repeat;
 - ``fingerprints``: fingerprints/sec over 4 KiB blobs, per-item vs batched;
-- ``salad_inserts``: records/sec routed to quiescence through a SALAD,
-  plus messages per record (the Fig. 9 currency) under batched routing;
+- ``salad_inserts``: records/sec routed to quiescence through an already
+  built SALAD (the build is timed apart, as ``build_seconds``), plus
+  messages per record (the Fig. 9 currency) under batched routing;
 - ``salad_routing``: the same insert workload under the reference
   (per-axis scan) vs the indexed (next-hop cache) routing path, with the
   message totals asserted equal and the cache hit rate reported;
-- ``sharded_inserts``: the insert workload on the single-process engine vs
-  the sub-cube sharded multi-process engine, trace identity asserted before
-  timing (sharding pays only with real cores; ``cpu_count`` is recorded);
-- ``sharded_speedup``: multi-core scaling of the overlapped sharded engine
-  at 1/2/4 workers (speedup ratios only on hosts with >= 2 CPUs, recorded
-  as skipped otherwise) plus the binary-vs-pickle envelope-codec
-  exchange-bytes reduction, which is core-count independent;
 - ``flagship``: the flagship insert path -- amortized width maintenance and
   deferred (settle-round-coalesced) recalculation -- vs the pre-change
   full-scan path on a growth-heavy workload, trace/settled identity
@@ -49,9 +43,9 @@ current fast paths so every snapshot carries its own before/after ratio:
   the durability prediction); ``check_regression.py`` holds the R=3 dedup
   arm above absolute floors.
 
-``--smoke`` runs only the salad benchmarks -- inserts, routing, and the
-sharded engine (the CI regression gate's input) -- plus the tradeoff
-frontier, and writes wherever ``--output`` points.
+``--smoke`` runs only the salad benchmarks -- inserts, routing, the
+flagship width path and topology traffic (the CI regression gate's input)
+-- plus the tradeoff frontier, and writes wherever ``--output`` points.
 
 Snapshots are append-only history: commit each new file, never overwrite an
 old one -- a second snapshot on the same date gets a ``_2`` suffix.
@@ -91,10 +85,6 @@ MIB = 1 << 20
 #: Set by main() when --metrics-out is given; benches that can harvest engine
 #: telemetry merge one representative run's registry into it.
 _BENCH_REGISTRY = None
-
-#: Per-worker registry dumps from the sharded bench (the RunReport's
-#: ``shards`` section), captured when the sharded engine runs.
-_SHARD_DUMPS = None
 
 
 def _merge_bench_metrics(registry: MetricsRegistry) -> None:
@@ -163,39 +153,31 @@ def bench_fingerprints() -> dict:
 
 
 def bench_salad_inserts(leaves: int = 64, records: int = 2000) -> dict:
+    """Insert throughput into a built SALAD; the build is timed separately."""
+
     def build() -> Salad:
         salad = Salad(SaladConfig(dimensions=2, seed=7))
         salad.build(leaves)
         return salad
 
-    salad = build()
-    leaf_ids = [leaf.identifier for leaf in salad.alive_leaves()]
-    batches = {
-        leaf_ids[i % len(leaf_ids)]: [
-            SaladRecord(
-                fingerprint=fingerprint_of(b"trajectory:%d" % j),
-                location=leaf_ids[i % len(leaf_ids)],
-            )
-            for j in range(i, records, len(leaf_ids))
-        ]
-        for i in range(len(leaf_ids))
-    }
-
-    def run() -> int:
-        fresh = build()
-        before = sum(fresh.message_totals())
-        inserted = fresh.insert_records(batches)
-        run.messages = sum(fresh.message_totals()) - before  # type: ignore[attr-defined]
-        run.salad = fresh  # type: ignore[attr-defined]
-        return inserted
-
-    seconds = _best_of(run, repeats=2)
-    _merge_bench_metrics(run.salad.collect_metrics(MetricsRegistry()))
+    batches = _insert_batches(build(), records)
+    build_seconds = insert_seconds = float("inf")
+    for _ in range(2):  # best of two fresh build + insert rounds
+        start = time.perf_counter()
+        salad = build()
+        build_seconds = min(build_seconds, time.perf_counter() - start)
+        before = sum(salad.message_totals())
+        start = time.perf_counter()
+        salad.insert_records(batches)
+        insert_seconds = min(insert_seconds, time.perf_counter() - start)
+        messages = sum(salad.message_totals()) - before
+    _merge_bench_metrics(salad.collect_metrics(MetricsRegistry()))
     return {
         "leaves": leaves,
         "records": records,
-        "inserts_per_sec": records / seconds,
-        "messages_per_record": run.messages / records,
+        "build_seconds": build_seconds,
+        "inserts_per_sec": records / insert_seconds,
+        "messages_per_record": messages / records,
     }
 
 
@@ -261,157 +243,6 @@ def bench_salad_routing(leaves: int = 64, records: int = 2000) -> dict:
         "messages_per_record": state["messages"] / records,
         "next_hop_cache_hit_rate": state["hits"] / lookups if lookups else 0.0,
     }
-
-
-def _sharded_batches(identifiers, records: int) -> dict:
-    """The insert workload keyed by identifier (engine-neutral)."""
-    return {
-        identifiers[i % len(identifiers)]: [
-            SaladRecord(
-                fingerprint=fingerprint_of(b"sharded:%d" % j),
-                location=identifiers[i % len(identifiers)],
-            )
-            for j in range(i, records, len(identifiers))
-        ]
-        for i in range(len(identifiers))
-    }
-
-
-def bench_sharded_inserts(leaves: int = 64, records: int = 2000, workers: int = 4) -> dict:
-    """Single-process vs sub-cube sharded engine on one build+insert workload.
-
-    Trace identity is asserted first (message counters and stored-record
-    total must match exactly), so the two wall times measure the same work.
-    Sharding only pays on multi-core machines: with one effective core the
-    per-window barrier and pipe traffic make the sharded run *slower*, which
-    is the honest number to record -- ``cpu_count`` says which regime a
-    snapshot measured.
-    """
-    from repro.salad.sharded import ShardedSimulation, ShardingUnavailable
-
-    def drive(sim):
-        start = time.perf_counter()
-        sim.build(leaves)
-        sim.insert_records(_sharded_batches(sim.alive_identifiers(), records))
-        seconds = time.perf_counter() - start
-        observed = (sim.message_counters(), sim.total_stored_records())
-        # Harvest before shutdown; for the sharded engine this exercises the
-        # coordinator's per-worker registry merge (which returns the
-        # per-shard dumps the RunReport's shards section carries).
-        global _SHARD_DUMPS
-        registry = MetricsRegistry()
-        dumps = sim.collect_metrics(registry)
-        if isinstance(dumps, list):
-            _SHARD_DUMPS = dumps
-        sim.shutdown()
-        return seconds, observed, registry
-
-    serial_seconds, serial_observed, serial_registry = drive(
-        Salad(SaladConfig(dimensions=2, seed=7))
-    )
-    out = {
-        "leaves": leaves,
-        "records": records,
-        "shard_workers": workers,
-        "cpu_count": os.cpu_count() or 1,
-        "serial_wall_seconds": serial_seconds,
-        "serial_inserts_per_sec": records / serial_seconds,
-    }
-    try:
-        sharded = ShardedSimulation(SaladConfig(dimensions=2, seed=7), workers=workers)
-    except ShardingUnavailable as exc:
-        out["sharded_unavailable"] = str(exc)
-        _merge_bench_metrics(serial_registry)
-        return out
-    sharded_seconds, sharded_observed, sharded_registry = drive(sharded)
-    assert sharded_observed == serial_observed, "sharded engine diverged"
-    # One engine's worth of telemetry for the report (the merged sharded
-    # registry, which already folded every worker's dump).
-    _merge_bench_metrics(sharded_registry)
-    out["sharded_wall_seconds"] = sharded_seconds
-    out["sharded_inserts_per_sec"] = records / sharded_seconds
-    out["speedup_sharded_over_serial"] = serial_seconds / sharded_seconds
-    return out
-
-
-def bench_sharded_speedup(leaves: int = 64, records: int = 2000) -> dict:
-    """Multi-core scaling of the overlapped sharded engine, plus codec bytes.
-
-    One seeded build+insert workload runs on the single-process engine and
-    then on 2- and 4-worker sharded engines (binary envelope codec), with
-    trace identity asserted before any ratio is computed.  ``speedup_N_workers``
-    keys are emitted only on hosts with at least 2 CPUs -- on a single-core
-    host the barrier-bound sharded run is honestly slower, so the snapshot
-    records ``speedup_skipped`` (with the reason) instead of a meaningless
-    ratio, and ``check_regression.py`` skips the speedup gate.
-
-    A final 2-worker leg re-runs under the pickle codec (the pre-codec wire
-    format, same cost model) so every snapshot carries its own
-    exchange-bytes before/after: ``exchange_bytes_reduction`` is
-    pickle-bytes over binary-bytes on identical traffic, core-count
-    independent and therefore gated everywhere.
-    """
-    from repro.salad.sharded import ShardedSimulation, ShardingUnavailable
-
-    def drive(sim):
-        start = time.perf_counter()
-        sim.build(leaves)
-        sim.insert_records(_sharded_batches(sim.alive_identifiers(), records))
-        seconds = time.perf_counter() - start
-        observed = (sim.message_counters(), sim.total_stored_records())
-        registry = MetricsRegistry()
-        sim.collect_metrics(registry)
-        exchange = registry.counter_value("salad.sharded.exchange_bytes") or 0
-        sim.shutdown()
-        return seconds, observed, exchange
-
-    cpus = os.cpu_count() or 1
-    serial_seconds, serial_observed, _ = drive(Salad(SaladConfig(dimensions=2, seed=7)))
-    out: dict = {
-        "leaves": leaves,
-        "records": records,
-        "cpu_count": cpus,
-        "wall_seconds_1_worker": serial_seconds,
-    }
-    if cpus < 2:
-        out["speedup_skipped"] = (
-            f"host has {cpus} CPU(s); sharded speedup needs >= 2 cores to be "
-            "meaningful, so speedup_N_workers keys are omitted"
-        )
-
-    for workers in (2, 4):
-        try:
-            sharded = ShardedSimulation(
-                SaladConfig(dimensions=2, seed=7), workers=workers
-            )
-        except ShardingUnavailable as exc:
-            out["sharded_unavailable"] = str(exc)
-            return out
-        seconds, observed, exchange = drive(sharded)
-        assert observed == serial_observed, (
-            f"{workers}-worker overlapped engine diverged from single-process"
-        )
-        out[f"wall_seconds_{workers}_workers"] = seconds
-        out[f"exchange_bytes_{workers}_workers"] = exchange
-        if cpus >= 2:
-            out[f"speedup_{workers}_workers"] = serial_seconds / seconds
-
-    try:
-        pickled = ShardedSimulation(
-            SaladConfig(dimensions=2, seed=7, envelope_codec="pickle"), workers=2
-        )
-    except ShardingUnavailable as exc:
-        out["sharded_unavailable"] = str(exc)
-        return out
-    _, observed, pickle_bytes = drive(pickled)
-    assert observed == serial_observed, "pickle-codec engine diverged"
-    binary_bytes = out["exchange_bytes_2_workers"]
-    out["exchange_bytes_binary"] = binary_bytes
-    out["exchange_bytes_pickle"] = pickle_bytes
-    out["exchange_bytes_reduction"] = (
-        pickle_bytes / binary_bytes if binary_bytes else 0.0
-    )
-    return out
 
 
 def bench_flagship(leaves: int = 512, records: int = 2048) -> dict:
@@ -767,8 +598,6 @@ def main(argv=None) -> int:
         ("fingerprints", bench_fingerprints),
         ("salad_inserts", bench_salad_inserts),
         ("salad_routing", bench_salad_routing),
-        ("sharded_inserts", bench_sharded_inserts),
-        ("sharded_speedup", bench_sharded_speedup),
         ("flagship", bench_flagship),
         ("topology_traffic", bench_topology_traffic),
         ("db_backends", bench_db_backends),
@@ -780,8 +609,6 @@ def main(argv=None) -> int:
         benches = [
             ("salad_inserts", bench_salad_inserts),
             ("salad_routing", bench_salad_routing),
-            ("sharded_inserts", bench_sharded_inserts),
-            ("sharded_speedup", bench_sharded_speedup),
             ("flagship", bench_flagship),
             ("topology_traffic", bench_topology_traffic),
             ("tradeoff", bench_tradeoff),
@@ -813,7 +640,6 @@ def main(argv=None) -> int:
                 "smoke": args.smoke or None,
                 "bench_snapshot": str(output),
             },
-            shards=_SHARD_DUMPS,
         )
         write_run_report(args.metrics_out, report)
         print_summary(report)

@@ -60,11 +60,8 @@ def _run_one_point(task):
     Each point is a fully independent DFC run, so the whole lambdas x
     probabilities grid fans out across workers without any shared state.
     """
-    corpus, lam, i, p, seed, crash, shard_workers = task
-    run_ = DfcRun(
-        corpus,
-        DfcConfig(target_redundancy=lam, seed=seed + i, shard_workers=shard_workers),
-    )
+    corpus, lam, i, p, seed, crash = task
+    run_ = DfcRun(corpus, DfcConfig(target_redundancy=lam, seed=seed + i))
     try:
         run_.build()
         if crash:
@@ -84,10 +81,9 @@ def _run_grid(
     seed: int,
     crash: bool,
     workers: Optional[int],
-    shard_workers: Optional[int] = None,
 ) -> Fig08Result:
     tasks = [
-        (corpus, lam, i, p, seed, crash, shard_workers)
+        (corpus, lam, i, p, seed, crash)
         for lam in lambdas
         for i, p in enumerate(probabilities)
     ]
@@ -114,11 +110,7 @@ def run(
     seed: int = 0,
     corpus: Corpus = None,
     workers: Optional[int] = None,
-    shard_workers: Optional[int] = None,
 ) -> Fig08Result:
-    """``shard_workers`` shards each point's SALAD across processes
-    (number-preserving for crash runs, which are deterministic; duty-cycle
-    loss runs use per-shard loss substreams, statistically equivalent)."""
     if corpus is None:
         corpus = generate_corpus(scale.corpus_spec(), seed=seed)
     return _run_grid(
@@ -128,7 +120,6 @@ def run(
         seed,
         crash=False,
         workers=workers,
-        shard_workers=shard_workers,
     )
 
 
@@ -139,7 +130,6 @@ def run_crash_ablation(
     seed: int = 0,
     corpus: Corpus = None,
     workers: Optional[int] = None,
-    shard_workers: Optional[int] = None,
 ) -> Fig08Result:
     """Ablation: permanent crash-stop failures instead of duty-cycle loss.
 
@@ -155,5 +145,4 @@ def run_crash_ablation(
         seed,
         crash=True,
         workers=workers,
-        shard_workers=shard_workers,
     )

@@ -68,7 +68,7 @@ def _run_one_limit(task):
     Module-level so process pools can pickle it; every point is an
     independent simulation over the shared (read-only) corpus.
     """
-    corpus, lam, limit, seed, db_backend, db_dir, shard_workers = task
+    corpus, lam, limit, seed, db_backend, db_dir = task
     run_ = DfcRun(
         corpus,
         DfcConfig(
@@ -77,7 +77,6 @@ def _run_one_limit(task):
             seed=seed,
             db_backend=db_backend,
             db_dir=db_dir,
-            shard_workers=shard_workers,
         ),
     )
     try:
@@ -97,12 +96,10 @@ def run(
     workers: Optional[int] = None,
     db_backend: Optional[str] = None,
     db_dir: Optional[str] = None,
-    shard_workers: Optional[int] = None,
 ) -> Fig13Result:
     """Fig. 13 is *the* capacity-eviction experiment, so it exercises the
     backend eviction paths hardest; ``db_backend``/``db_dir`` select the
-    per-leaf store (contract-identical -- consumed space is unchanged), and
-    ``shard_workers`` shards each point's SALAD (trace-identical)."""
+    per-leaf store (contract-identical -- consumed space is unchanged)."""
     if corpus is None:
         corpus = generate_corpus(scale.corpus_spec(), seed=seed)
     file_count = corpus.total_files
@@ -112,7 +109,7 @@ def run(
         sorted({max(1, int(round(mean_records * frac))) for frac in limit_fractions})
     )
     tasks = [
-        (corpus, lam, limit, seed, db_backend, db_dir, shard_workers)
+        (corpus, lam, limit, seed, db_backend, db_dir)
         for lam in lambdas
         for limit in (*limits, None)  # None = the no-limit baseline run
     ]

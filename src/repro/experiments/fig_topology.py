@@ -16,9 +16,8 @@ three things the flat fabric cannot:
   share of the hottest cell quantify the resulting hot spots.
 
 Mid-run, the wan links of site 0 are severed for the middle third of the
-waves (single-process engine only -- cuts, like partitions, are not
-supported under sharding) and healed afterwards, so the drop counters show
-what a topology cut costs the dissemination.
+waves (multi-site topologies only) and healed afterwards, so the drop
+counters show what a topology cut costs the dissemination.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.experiments.scales import ExperimentScale
 from repro.obs.registry import MetricsRegistry
 from repro.salad.salad import Salad, SaladConfig
-from repro.salad.sharded import make_salad
 from repro.sim.topology import Topology, parse_topology
 from repro.workload.traffic import SkewedTraffic, TrafficSpec, parse_traffic
 
@@ -53,7 +51,7 @@ class FigTopologyResult:
     class_messages: Dict[str, Dict[str, int]]
     #: Fraction of insert-phase sends that crossed a wan link.
     wan_share: float
-    #: (first wave, last wave) of the site-0 wan cut, or None (sharded runs).
+    #: (first wave, last wave) of the site-0 wan cut, or None (one site).
     cut_waves: Optional[Tuple[int, int]]
     #: Messages dropped while the cut was in force.
     dropped_during_cut: int
@@ -101,33 +99,17 @@ class FigTopologyResult:
         return "\n".join(lines)
 
 
-def _class_counters(engine) -> Dict[str, Dict[str, int]]:
-    """Per-class counters, engine-neutral (direct or via merged registries)."""
-    network = getattr(engine, "network", None)
-    if network is not None:
-        return {
-            name: {
-                "sent": network.class_sent.get(name, 0),
-                "delivered": network.class_delivered.get(name, 0),
-                "dropped": network.class_dropped.get(name, 0),
-            }
-            for name in ("rack", "lan", "wan")
+def _class_counters(salad: Salad) -> Dict[str, Dict[str, int]]:
+    """The network's per-link-class sent/delivered/dropped counters."""
+    network = salad.network
+    return {
+        name: {
+            "sent": network.class_sent.get(name, 0),
+            "delivered": network.class_delivered.get(name, 0),
+            "dropped": network.class_dropped.get(name, 0),
         }
-    registry = MetricsRegistry()
-    engine.collect_metrics(registry)
-    out = {
-        name: {"sent": 0, "delivered": 0, "dropped": 0}
-        for name in ("rack", "lan", "wan")
+        for name in _CLASS_ORDER
     }
-    for entry in registry.to_dict()["counters"]:
-        name = entry["name"]
-        if not name.startswith("salad.network.class_"):
-            continue
-        which = name[len("salad.network.class_"):]
-        link_class = entry.get("labels", {}).get("link_class")
-        if link_class in out and which in out[link_class]:
-            out[link_class][which] = entry["value"]
-    return out
 
 
 def _diff_counters(
@@ -147,7 +129,6 @@ def run(
     seed: int = 0,
     topology: Union[Topology, str, None] = None,
     traffic: Union[TrafficSpec, str, None] = None,
-    shard_workers: Optional[int] = None,
 ) -> FigTopologyResult:
     """Run the topology experiment at *scale*.
 
@@ -155,8 +136,6 @@ def run(
     :func:`repro.sim.topology.parse_topology` and
     :func:`repro.workload.traffic.parse_traffic`), parsed objects, or None
     for the defaults (the corporate preset; the default traffic spec).
-    Multi-latency topologies force the single-process engine (the sharded
-    barrier cannot window them; ``make_salad`` warns and degrades).
     """
     if not isinstance(topology, Topology):
         topo = parse_topology(topology if topology is not None else "corporate")
@@ -166,17 +145,15 @@ def run(
         topo = topology
     spec = traffic if isinstance(traffic, TrafficSpec) else parse_traffic(traffic)
 
-    config = SaladConfig(seed=seed, topology=topo, shard_workers=shard_workers)
-    engine = make_salad(config)
+    engine = Salad(SaladConfig(seed=seed, topology=topo))
     try:
         engine.build(scale.machines, settle_each=True)
         baseline = _class_counters(engine)
         driver = SkewedTraffic(spec, engine.alive_identifiers(), seed=seed + 1)
 
-        # Cuts need the single-process network (sharding rejects partition
-        # mutation), and only make sense with more than one site.
-        network = getattr(engine, "network", None)
-        can_cut = network is not None and topo.sites > 1
+        # Cuts only make sense with more than one site.
+        network = engine.network
+        can_cut = topo.sites > 1
         cut_start = spec.waves // 3
         cut_end = 2 * spec.waves // 3  # exclusive: healed before this wave
         cut_waves: Optional[Tuple[int, int]] = None

@@ -10,21 +10,19 @@ optimization at once:
   bulk-join growth storm; opt-out via ``--eager-width``);
 - the **paging WAL backend** (``--db-backend wal-paged``), which keeps
   record bodies on disk behind a key->offset index and a small LRU, so
-  peak RSS stays bounded while a million records accumulate;
-- the **sub-cube sharded engine** (``--shard-workers``), whose per-worker
-  phase trees land in the RunReport's ``shards[*].phases``.
+  peak RSS stays bounded while a million records accumulate.
 
 Growth runs in geometric stages and insert in waves, each under its own
 span, so the report shows where the wall-clock went at every scale step.
-The environment block records the peak RSS of the driver and (for sharded
-runs) its reaped workers, plus the actual scale reached -- the committed
-report at ``docs/flagship_report.json`` is regenerated with this CLI.
+The environment block records the peak RSS of the run plus the actual
+scale reached.  No report is committed; ``--metrics-out PATH`` writes one
+for any scale.
 
 Usage::
 
     python -m repro.experiments.flagship --smoke --metrics-out smoke.json
-    python -m repro.experiments.flagship --db-backend wal-paged \
-        --shard-workers 4 --metrics-out docs/flagship_report.json
+    python -m repro.experiments.flagship --leaves 16384 --records 163840 \
+        --metrics-out flagship_report.json
 """
 
 from __future__ import annotations
@@ -42,15 +40,12 @@ from repro.obs.report import build_run_report, print_summary, write_run_report
 from repro.obs.spans import phase, reset_spans, span
 from repro.salad.records import SaladRecord
 from repro.salad.salad import (
-    ENVELOPE_CODECS,
+    Salad,
     SaladConfig,
     resolve_trace_sample_rate,
     set_detailed_metrics,
-    set_envelope_codec,
     set_trace_sample_rate,
-    validate_shard_workers,
 )
-from repro.salad.sharded import make_salad
 from repro.salad.storage import BACKENDS
 
 FULL_LEAVES = 100_000
@@ -58,8 +53,8 @@ FULL_RECORDS = 1_000_000
 SMOKE_LEAVES = 96
 SMOKE_RECORDS = 960
 
-#: Leaves per insert_records call: bounds the coordinator-side record batch
-#: (and its pickled envelope to shard workers) regardless of system size.
+#: Leaves per insert_records call: bounds the driver-side record batch
+#: regardless of system size.
 CHUNK_LEAVES = 4096
 
 
@@ -102,28 +97,26 @@ def run_flagship(
     seed: int = 0,
     db_backend: Optional[str] = "wal-paged",
     db_dir: Optional[str] = None,
-    shard_workers: Optional[int] = None,
     eager_width: bool = False,
     reference_width: bool = False,
     registry: Optional[MetricsRegistry] = None,
 ) -> dict:
     """Grow to *leaves*, insert ~*records*; returns run facts for the report.
 
-    The return dict carries the observables the committed report and the
-    bench section read: wall-clock per phase comes from the span tree (not
-    from here), worker phase trees ride on ``"worker_phases"``.
+    The return dict carries the observables the report and the bench
+    section read; wall-clock per phase comes from the span tree, not from
+    here.
     """
     config = SaladConfig(
         dimensions=2,
         seed=seed,
         db_backend=db_backend,
         db_dir=db_dir,
-        shard_workers=shard_workers,
         reference_width=reference_width,
         deferred_width_recalc=not eager_width and not reference_width,
         detailed_metrics=registry is not None,
     )
-    sim = make_salad(config)
+    sim = Salad(config)
     per_leaf = max(1, records // leaves)
     waves = min(per_leaf, 4)
     pool = max(records // 4, 16)  # ~4 copies per content => duplicate groups
@@ -159,9 +152,7 @@ def run_flagship(
         with phase("harvest"):
             if registry is None:
                 registry = MetricsRegistry()
-            # Salad returns the registry; ShardedSimulation returns the
-            # per-worker registry dumps (already merged into *registry*).
-            harvested = sim.collect_metrics(registry)
+            sim.collect_metrics(registry)
             facts = {
                 "leaves": leaves,
                 "alive_leaves": sim.alive_count(),
@@ -169,18 +160,7 @@ def run_flagship(
                 "records_inserted": inserted_total,
                 "total_stored": sim.total_stored_records(),
                 "widths": sim.width_distribution(),
-                "worker_phases": list(getattr(sim, "worker_phases", []) or []),
-                "shard_dumps": harvested if isinstance(harvested, list) else None,
-                # Single-process: the engine's recorder drains here.
-                # Sharded: workers drained theirs into the metrics reply and
-                # the coordinator accumulated them; drain so close() does
-                # not re-adopt the same events into the orphan buffer.
-                "trace_events": tracing.take_events()
-                + (
-                    sim.take_trace_events()
-                    if hasattr(sim, "take_trace_events")
-                    else []
-                ),
+                "trace_events": tracing.take_events(),
             }
     finally:
         sim.shutdown()
@@ -213,21 +193,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "that bounds peak RSS at this scale)",
     )
     parser.add_argument("--db-dir", metavar="DIR", default=None)
-    parser.add_argument(
-        "--shard-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard across N worker processes (power of two; 0 = auto); "
-        "per-worker phase trees land in the report's shards section",
-    )
-    parser.add_argument(
-        "--envelope-codec",
-        choices=ENVELOPE_CODECS,
-        default=None,
-        help="cross-shard envelope wire format (default: binary; pickle "
-        "reproduces the pre-codec cost model for comparison runs)",
-    )
     parser.add_argument(
         "--eager-width",
         action="store_true",
@@ -269,14 +234,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.leaves, args.records = SMOKE_LEAVES, SMOKE_RECORDS
     if args.leaves < 1 or args.records < 1:
         parser.error("--leaves and --records must be positive")
-    if args.shard_workers is not None:
-        try:
-            validate_shard_workers(args.shard_workers)
-        except (TypeError, ValueError) as exc:
-            parser.error(str(exc))
     set_detailed_metrics(bool(args.metrics_out))
-    if args.envelope_codec is not None:
-        set_envelope_codec(args.envelope_codec)
     if args.trace_sample_rate is not None:
         try:
             set_trace_sample_rate(args.trace_sample_rate)
@@ -296,7 +254,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         seed=args.seed,
         db_backend=args.db_backend,
         db_dir=args.db_dir,
-        shard_workers=args.shard_workers,
         eager_width=args.eager_width,
         reference_width=args.reference_width,
         registry=registry,
@@ -334,19 +291,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "records_inserted": facts["records_inserted"],
                 "seed": args.seed,
                 "db_backend": args.db_backend,
-                "shard_workers": args.shard_workers,
-                "envelope_codec": args.envelope_codec,
                 "deferred_width_recalc": not args.eager_width
                 and not args.reference_width,
                 "reference_width": args.reference_width or None,
                 "wall_seconds": elapsed,
                 "peak_rss_mib": round(_peak_rss_mib(resource.RUSAGE_SELF), 1),
-                "children_peak_rss_mib": round(
-                    _peak_rss_mib(resource.RUSAGE_CHILDREN), 1
-                ),
             },
-            shards=facts["shard_dumps"],
-            shard_phases=facts["worker_phases"] or None,
             traces=(
                 {"sample_rate": trace_rate, "events": trace_events}
                 if trace_rate > 0.0

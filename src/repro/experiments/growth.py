@@ -13,8 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.obs.registry import MetricsRegistry
 from repro.perf.parallel import parallel_map
-from repro.salad.salad import SaladConfig
-from repro.salad.sharded import make_salad
+from repro.salad.salad import Salad, SaladConfig
 
 
 @dataclass
@@ -62,24 +61,16 @@ def run_growth(
     sample_sizes: Sequence[int] = None,
     dimensions: int = 2,
     seed: int = 0,
-    shard_workers: Optional[int] = None,
 ) -> GrowthResult:
-    """Grow one SALAD to *max_leaves*, snapshotting leaf-table sizes.
-
-    ``shard_workers`` selects the sub-cube sharded engine (trace-identical
-    to single-process on these deterministic workloads; see
-    :mod:`repro.salad.sharded`) -- the knob that makes the 100k-leaf
-    Fig. 14 target reachable.
-    """
+    """Grow one SALAD to *max_leaves*, snapshotting leaf-table sizes."""
     if sample_sizes is None:
         sample_sizes = growth_sample_points(max_leaves)
     wanted = sorted(set(s for s in sample_sizes if s <= max_leaves))
-    salad = make_salad(
+    salad = Salad(
         SaladConfig(
             target_redundancy=target_redundancy,
             dimensions=dimensions,
             seed=seed,
-            shard_workers=shard_workers,
         )
     )
     try:
@@ -91,7 +82,7 @@ def run_growth(
                     system_size=size, leaf_table_sizes=salad.leaf_table_sizes()
                 )
             )
-        # Harvest telemetry before shutdown: a dead engine reports nothing.
+        # Harvest telemetry before shutdown: a closed SALAD reports nothing.
         registry = MetricsRegistry()
         salad.collect_metrics(registry)
         metrics = registry.to_dict()
@@ -107,8 +98,8 @@ def run_growth(
 
 def _growth_one(task):
     """One Lambda's growth run (module-level so process pools can pickle it)."""
-    lam, max_leaves, sample_sizes, dimensions, seed, shard_workers = task
-    return run_growth(lam, max_leaves, sample_sizes, dimensions, seed, shard_workers)
+    lam, max_leaves, sample_sizes, dimensions, seed = task
+    return run_growth(lam, max_leaves, sample_sizes, dimensions, seed)
 
 
 def run_growth_suite(
@@ -118,18 +109,9 @@ def run_growth_suite(
     dimensions: int = 2,
     seed: int = 0,
     workers: Optional[int] = None,
-    shard_workers: Optional[int] = None,
 ) -> Dict[float, GrowthResult]:
-    """Per-Lambda growth runs; independent, so ``workers`` fans them out.
-
-    ``workers`` and ``shard_workers`` compose safely: inside a pool worker
-    the sharded engine cannot spawn children and silently degrades to
-    single-process, so the two knobs are alternatives in practice
-    (parallelize across Lambdas *or* shard within one big run).
-    """
+    """Per-Lambda growth runs; independent, so ``workers`` fans them out."""
     sizes = tuple(sample_sizes) if sample_sizes is not None else None
-    tasks = [
-        (lam, max_leaves, sizes, dimensions, seed, shard_workers) for lam in lambdas
-    ]
+    tasks = [(lam, max_leaves, sizes, dimensions, seed) for lam in lambdas]
     results = parallel_map(_growth_one, tasks, workers=workers, min_items=2)
     return dict(zip(lambdas, results))

@@ -47,13 +47,10 @@ from repro.experiments.scales import PAPER_LAMBDAS, SCALES, get_scale
 from repro.experiments.threshold_sweep import run_threshold_sweep
 from repro.obs import tracing
 from repro.salad.salad import (
-    ENVELOPE_CODECS,
     resolve_trace_sample_rate,
     set_detailed_metrics,
-    set_envelope_codec,
     set_trace_invariants,
     set_trace_sample_rate,
-    validate_shard_workers,
 )
 from repro.salad.storage import BACKENDS, set_default_db_backend
 
@@ -122,7 +119,6 @@ def run_experiments(
     raw: bool = False,
     db_backend: str = None,
     db_dir: str = None,
-    shard_workers: int = None,
     registry: MetricsRegistry = None,
     topology: str = None,
     traffic: str = None,
@@ -134,10 +130,7 @@ def run_experiments(
     the database-centric experiments (the shared threshold sweep feeding
     Figs. 7/9-12, and Fig. 13's capacity runs); every backend reports
     identical numbers, the durable ones just bound RAM at full scale.
-    ``shard_workers`` runs each simulation on the sub-cube sharded engine
-    (repro.salad.sharded) -- trace-identical on the deterministic workloads,
-    so every reported number is unchanged; it threads through the growth,
-    threshold-sweep, Fig. 8, and Fig. 13 runs.  ``registry`` collects
+    ``registry`` collects
     telemetry (repro.obs) from the runs that harvest it -- the shared sweep
     and growth engines, and the topology experiment -- for a
     ``--metrics-out`` RunReport.  ``topology``/``traffic`` are the
@@ -157,7 +150,6 @@ def run_experiments(
                 seed=seed,
                 db_backend=db_backend,
                 db_dir=db_dir,
-                shard_workers=shard_workers,
             )
         if registry is not None:
             for dump in sweep.metrics.values():
@@ -175,7 +167,6 @@ def run_experiments(
                 scale.growth_max_leaves,
                 sample_sizes,
                 seed=seed,
-                shard_workers=shard_workers,
             )
         if registry is not None:
             for result in growth.values():
@@ -189,9 +180,7 @@ def run_experiments(
             elif name == "fig07":
                 result = fig07_space_vs_minsize.run(scale, seed, sweep)
             elif name == "fig08":
-                result = fig08_space_vs_failure.run(
-                    scale, seed=seed, shard_workers=shard_workers
-                )
+                result = fig08_space_vs_failure.run(scale, seed=seed)
             elif name == "fig09":
                 result = fig09_messages_vs_minsize.run(scale, seed, sweep)
             elif name == "fig10":
@@ -208,7 +197,6 @@ def run_experiments(
                     seed=seed,
                     db_backend=db_backend,
                     db_dir=db_dir,
-                    shard_workers=shard_workers,
                 )
             elif name == "fig14":
                 result = fig14_leaftable_vs_size.run(scale, PAPER_LAMBDAS, seed, growth)
@@ -220,7 +208,6 @@ def run_experiments(
                     seed=seed,
                     topology=topology,
                     traffic=traffic,
-                    shard_workers=shard_workers,
                 )
                 if registry is not None and result.metrics:
                     registry.merge_dict(result.metrics)
@@ -270,23 +257,6 @@ def main(argv: List[str] = None) -> int:
         default=1,
         help="worker processes for batch-parallel phases (0 = one per CPU); "
         "results are byte-identical at any worker count",
-    )
-    parser.add_argument(
-        "--shard-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard each SALAD simulation across N worker processes "
-        "(power of two; 0 = auto, default: single-process); trace-identical "
-        "to the single-process engine, so results are unchanged",
-    )
-    parser.add_argument(
-        "--envelope-codec",
-        choices=ENVELOPE_CODECS,
-        default=None,
-        help="cross-shard envelope wire format for sharded runs (default: "
-        "binary, the compact struct-packed codec; pickle reproduces the "
-        "pre-codec cost model -- traces are identical either way)",
     )
     parser.add_argument(
         "--db-backend",
@@ -379,14 +349,7 @@ def main(argv: List[str] = None) -> int:
         parse_traffic(args.traffic)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.shard_workers is not None:
-        try:
-            validate_shard_workers(args.shard_workers)
-        except (TypeError, ValueError) as exc:
-            parser.error(str(exc))
     set_default_workers(args.workers)
-    if args.envelope_codec is not None:
-        set_envelope_codec(args.envelope_codec)
     # Session default so every Salad built anywhere in the run (including
     # experiments that build their own) picks up the chosen backend; the
     # database-centric experiments additionally get it threaded explicitly.
@@ -416,7 +379,6 @@ def main(argv: List[str] = None) -> int:
             raw=True,
             db_backend=args.db_backend,
             db_dir=args.db_dir,
-            shard_workers=args.shard_workers,
             registry=registry,
             topology=args.topology,
             traffic=args.traffic,
@@ -438,7 +400,6 @@ def main(argv: List[str] = None) -> int:
             seed=args.seed,
             db_backend=args.db_backend,
             db_dir=args.db_dir,
-            shard_workers=args.shard_workers,
             registry=registry,
             topology=args.topology,
             traffic=args.traffic,
@@ -465,8 +426,6 @@ def main(argv: List[str] = None) -> int:
                 "seed": args.seed,
                 "experiments": ",".join(names),
                 "workers": args.workers,
-                "shard_workers": args.shard_workers,
-                "envelope_codec": args.envelope_codec,
                 "db_backend": args.db_backend,
                 "topology": args.topology,
                 "traffic": args.traffic,

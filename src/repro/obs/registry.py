@@ -1,23 +1,23 @@
 """A zero-dependency metrics registry: counters, gauges, log histograms.
 
 Every layer of the reproduction (crypto kernels, SALAD routing, record
-stores, the sharded engine, the DFC pipeline) reports what it did through
+stores, the DFC pipeline) reports what it did through
 one of three instrument types held in a :class:`MetricsRegistry`:
 
 - :class:`Counter` -- a monotonically increasing integer total;
 - :class:`Gauge` -- a last-known scalar (merged across registries by max,
   so configuration gauges like ``salad.config.dimensions`` survive a merge
-  unchanged and per-shard quantities take the worst case);
+  unchanged and per-worker quantities take the worst case);
 - :class:`Histogram` -- log-bucketed by the binary exponent of the value
   (``math.frexp``), tracking per-bucket counts plus global count / total /
   min / max.  Bucket keys are small integers and counts are exact, so
   histogram merges -- like counter sums -- are associative, commutative,
   and bit-identical regardless of merge order.
 
-**Merge semantics** are the contract the sharded engine depends on: the
-coordinator merges one registry per worker process, and the result's
-counter totals must be *bit-identical* to a single-process run of the same
-trace (``tests/salad/test_sharded_golden.py`` asserts it).  Counters add,
+**Merge semantics** are exact: the experiment runner merges one registry
+per worker process (:meth:`MetricsRegistry.merge_dict`), and the result's
+counter totals must be *bit-identical* to observing everything in one
+registry, whatever the partition.  Counters add,
 gauges take the max, histograms add bucket-wise; all three operate on
 exact ints wherever the instrumented code observes ints.
 
@@ -35,9 +35,8 @@ null registry whose instruments are shared no-op singletons, so library
 code may write ``get_registry().counter("x").inc()`` unconditionally.
 
 Naming convention: dotted lowercase paths, ``<layer>.<subsystem>.<what>``
-(e.g. ``salad.routing.next_hop_hits``); metrics that only exist on the
-sharded engine live under ``salad.sharded.*`` and are excluded from the
-engine-identity comparison.  ``docs/OBSERVABILITY.md`` is the catalog.
+(e.g. ``salad.routing.next_hop_hits``).  ``docs/OBSERVABILITY.md`` is the
+catalog.
 """
 
 from __future__ import annotations

@@ -5,13 +5,13 @@ Two complementary instruments, both zero-cost when disabled:
 1. **Causal traces.**  A deterministic sampler (a SplitMix64-style hash of
    the record's routing id, no RNG consumed) selects a fraction of inserted
    records; every subsystem a sampled record flows through -- the origin
-   leaf, each routing hop, the cross-shard envelope exchange, the record
-   store and its flush -- emits a small event dict tagged with the record's
-   ``trace_id``.  Events from every shard worker merge by trace_id into one
-   per-record timeline (:func:`build_timelines`) and export as Chrome
-   trace-event JSON loadable in Perfetto (:func:`export_chrome_trace`).
+   leaf, each routing hop, the record store and its flush -- emits a small
+   event dict tagged with the record's ``trace_id``.  Events merge by
+   trace_id into one per-record timeline (:func:`build_timelines`) and
+   export as Chrome trace-event JSON loadable in Perfetto
+   (:func:`export_chrome_trace`).
 
-   Sampling is a pure predicate on data that both engines already carry, so
+   Sampling is a pure predicate on data the records already carry, so
    a traced run and an untraced run execute the *same* message trace; the
    golden tests in ``tests/salad/test_trace_golden.py`` pin that down.
 
@@ -41,7 +41,6 @@ __all__ = [
     "FlightRecorder",
     "TraceRecorder",
     "activate",
-    "adopt_events",
     "build_timelines",
     "deactivate",
     "export_chrome_trace",
@@ -87,9 +86,8 @@ def sample_threshold(rate: float) -> int:
 def trace_id_for(routing_id: int, location: int) -> int:
     """Deterministic 64-bit trace id of one ``(fingerprint, location)`` record.
 
-    Every process re-derives the same id from data the record already
-    carries, so no id ever needs to travel alongside the record itself --
-    the wire extension exists only to mark *which* envelope carried it.
+    Every hop re-derives the same id from data the record already
+    carries, so no id ever needs to travel alongside the record itself.
     """
     return _mix64(_mix64(routing_id ^ _TRACE_ID_SALT) ^ _mix64(location))
 
@@ -98,16 +96,13 @@ def trace_id_for(routing_id: int, location: int) -> int:
 _KIND_ORDER = {
     "insert": 0,
     "route.hop": 1,
-    "envelope.stage": 2,
-    "envelope.deliver": 3,
-    "exchange.round": 4,
-    "store": 5,
-    "store.flush": 6,
+    "store": 2,
+    "store.flush": 3,
 }
 
 
 class TraceRecorder:
-    """Per-process event sink for one engine (or one shard worker).
+    """Per-process event sink for the active SALAD.
 
     Hot paths hold no reference to this object; they read the module global
     :data:`ACTIVE` once per batch and skip everything when it is ``None``,
@@ -116,7 +111,6 @@ class TraceRecorder:
 
     __slots__ = (
         "sample_rate",
-        "shard",
         "events",
         "records_sampled",
         "_threshold",
@@ -129,12 +123,10 @@ class TraceRecorder:
     def __init__(
         self,
         sample_rate: float,
-        shard: Optional[int] = None,
         now: Optional[Callable[[], float]] = None,
         link_of: Optional[Callable[[int, int], Tuple[str, str]]] = None,
     ) -> None:
         self.sample_rate = float(sample_rate)
-        self.shard = shard
         self.events: List[dict] = []
         self.records_sampled = 0
         self._threshold = sample_threshold(sample_rate)
@@ -159,7 +151,6 @@ class TraceRecorder:
             "trace_id": None if trace_id is None else f"{trace_id:016x}",
             "t": self._now(),
             "seq": self._seq,
-            "shard": self.shard,
             "machine": None if machine is None else f"{machine:x}",
         }
         if extra:
@@ -200,52 +191,6 @@ class TraceRecorder:
         for tid in pending:
             self.emit("store.flush", tid, machine)
 
-    def record_envelope_stage(
-        self, trace_ids: Iterable[int], target_shard: int, machine: Optional[int] = None
-    ) -> None:
-        for tid in trace_ids:
-            self.emit("envelope.stage", tid, machine, target_shard=target_shard)
-
-    def record_envelope_deliver(
-        self, trace_ids: Iterable[int], source_shard: int, window: int
-    ) -> None:
-        for tid in trace_ids:
-            self.emit(
-                "envelope.deliver", tid, None, source_shard=source_shard, window=window
-            )
-
-    def record_exchange_round(self, window: int, exchange_round: int, bytes_sent: int) -> None:
-        self.emit(
-            "exchange.round",
-            None,
-            None,
-            window=window,
-            round=exchange_round,
-            bytes_sent=bytes_sent,
-        )
-
-    # -- hot-path trace-id extraction ------------------------------------
-
-    def sampled_ids_in(self, kind: str, payload) -> Tuple[int, ...]:
-        """Trace ids of sampled records inside one message payload.
-
-        Knows the two record-bearing payload shapes of the protocol
-        vocabulary (both ``RECORD`` and ``RECORD_BATCH`` carry
-        ``(record, hops)`` pairs -- one vs. a tuple of them); everything
-        else traces nothing.
-        """
-        if kind == "record_batch":
-            return tuple(
-                trace_id_for(record._rid, record.location)
-                for record, _hops in payload
-                if self.sampled(record._rid)
-            )
-        if kind == "record":
-            record, _hops = payload
-            if self.sampled(record._rid):
-                return (trace_id_for(record._rid, record.location),)
-        return ()
-
     # -- draining ---------------------------------------------------------
 
     def take_events(self) -> List[dict]:
@@ -258,22 +203,20 @@ class TraceRecorder:
 ACTIVE: Optional[TraceRecorder] = None
 
 #: Events that outlived their recorder: a session that builds several
-#: engines in sequence (the experiment runner's sweeps) re-activates per
-#: engine, and a sharded coordinator adopts its workers' undrained events
-#: at close -- either way :func:`take_events` hands them out exactly once.
+#: SALADs in sequence (the experiment runner's sweeps) re-activates per
+#: SALAD, and :func:`take_events` hands the earlier ones out exactly once.
 _orphaned: List[dict] = []
 
 
 def activate(
     sample_rate: float,
-    shard: Optional[int] = None,
     now: Optional[Callable[[], float]] = None,
     link_of: Optional[Callable[[int, int], Tuple[str, str]]] = None,
 ) -> Optional[TraceRecorder]:
     """Install (or clear, for rate <= 0) the process-wide recorder.
 
     The outgoing recorder's undrained events move to the orphan buffer
-    first, so engine turnover never loses sampled timelines.
+    first, so SALAD turnover never loses sampled timelines.
     """
     global ACTIVE
     if ACTIVE is not None and ACTIVE.events:
@@ -281,25 +224,18 @@ def activate(
     if sample_rate is None or sample_rate <= 0.0:
         ACTIVE = None
     else:
-        ACTIVE = TraceRecorder(sample_rate, shard=shard, now=now, link_of=link_of)
+        ACTIVE = TraceRecorder(sample_rate, now=now, link_of=link_of)
     return ACTIVE
 
 
 def deactivate() -> None:
     """Hard off: discard the recorder AND any orphaned events.
 
-    Shard workers call this on entry (fork inherits the parent's module
-    state -- shipping those events again would double-count them); test
-    teardown uses it for isolation.
+    Benchmark passes and test teardown use it for isolation.
     """
     global ACTIVE
     ACTIVE = None
     _orphaned.clear()
-
-
-def adopt_events(events: Iterable[dict]) -> None:
-    """Feed externally drained events into this process's orphan buffer."""
-    _orphaned.extend(events)
 
 
 def take_events() -> List[dict]:
@@ -318,18 +254,16 @@ def _event_sort_key(event: dict) -> tuple:
     return (
         event.get("t") or 0.0,
         _KIND_ORDER.get(event.get("kind"), 9),
-        event.get("shard") if event.get("shard") is not None else -1,
         event.get("seq", 0),
     )
 
 
 def build_timelines(events: Iterable[dict]) -> Dict[str, List[dict]]:
-    """Merge events (from any number of workers) into per-record timelines.
+    """Group events into per-record timelines.
 
     Returns ``{trace_id_hex: [events...]}`` with each list sorted by
-    (virtual time, causal kind order, shard, per-process sequence); events
-    without a trace id (run-level ``exchange.round`` markers) are dropped
-    here -- they belong to lanes, not records.
+    (virtual time, causal kind order, emission sequence); events without a
+    trace id belong to no record and are dropped.
     """
     timelines: Dict[str, List[dict]] = {}
     for event in events:
@@ -345,87 +279,55 @@ def build_timelines(events: Iterable[dict]) -> Dict[str, List[dict]]:
 # -- Chrome trace-event export (Perfetto) ---------------------------------
 
 
-def export_chrome_trace(events: Iterable[dict], path, quantum: float = 1.0) -> Path:
+def export_chrome_trace(events: Iterable[dict], path) -> Path:
     """Write events as Chrome trace-event JSON, loadable in Perfetto.
 
-    One process lane per shard (``pid``), one thread lane per machine
-    (``tid``, densely renumbered -- 160-bit identifiers exceed what the
-    format accepts); per-record events are instants carrying their
-    trace_id/hops/link in ``args``, ``exchange.round`` markers render as
-    complete spans one window-``quantum`` wide.  Virtual time maps to
-    microseconds (1 simulated time unit = 1 ms) so windows are legible at
-    Perfetto's default zoom.
+    One process lane (``pid`` 0), one thread lane per machine (``tid``,
+    densely renumbered -- 160-bit identifiers exceed what the format
+    accepts); every event is an instant carrying its trace_id/hops/link in
+    ``args``.  Virtual time maps to microseconds (1 simulated time unit =
+    1 ms on screen) so delivery windows are legible at Perfetto's default
+    zoom.
     """
     events = list(events)
     scale = 1000.0  # virtual time unit -> µs (1 unit = 1 ms on screen)
-    trace_events: List[dict] = []
-    pids = sorted({e.get("shard") or 0 for e in events})
-    tid_of: Dict[Tuple[int, str], int] = {}
+    tid_of: Dict[Optional[str], int] = {}
     for event in events:
-        pid = event.get("shard") or 0
-        machine = event.get("machine")
-        lane = machine if machine is not None else "-engine-"
-        key = (pid, lane)
-        if key not in tid_of:
-            tid_of[key] = len(tid_of) + 1
-    for pid in pids:
+        tid_of.setdefault(event.get("machine"), len(tid_of) + 1)
+    trace_events: List[dict] = []
+    if events:
         trace_events.append(
-            {
-                "ph": "M",
-                "name": "process_name",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": f"shard {pid}"},
-            }
+            {"ph": "M", "name": "process_name", "pid": 0, "tid": 0, "args": {"name": "salad"}}
         )
-    for (pid, lane), tid in sorted(tid_of.items(), key=lambda kv: kv[1]):
-        name = "engine" if lane == "-engine-" else f"leaf {lane[:12]}"
+    for machine, tid in tid_of.items():
         trace_events.append(
             {
                 "ph": "M",
                 "name": "thread_name",
-                "pid": pid,
+                "pid": 0,
                 "tid": tid,
-                "args": {"name": name},
+                "args": {"name": f"leaf {str(machine)[:12]}"},
             }
         )
     for event in events:
-        pid = event.get("shard") or 0
-        machine = event.get("machine")
-        lane = machine if machine is not None else "-engine-"
-        tid = tid_of[(pid, lane)]
-        ts = (event.get("t") or 0.0) * scale
+        tid = tid_of[event.get("machine")]
         args = {
             k: v
             for k, v in event.items()
-            if k not in ("kind", "t", "seq", "shard", "machine") and v is not None
+            if k not in ("kind", "t", "seq", "machine") and v is not None
         }
-        if event.get("kind") == "exchange.round":
-            trace_events.append(
-                {
-                    "ph": "X",
-                    "name": "exchange.round",
-                    "cat": "exchange",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": ts,
-                    "dur": max(quantum * scale, 1.0),
-                    "args": args,
-                }
-            )
-        else:
-            trace_events.append(
-                {
-                    "ph": "i",
-                    "name": event.get("kind", "event"),
-                    "cat": "trace",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": ts,
-                    "s": "t",
-                    "args": args,
-                }
-            )
+        trace_events.append(
+            {
+                "ph": "i",
+                "name": event.get("kind", "event"),
+                "cat": "trace",
+                "pid": 0,
+                "tid": tid,
+                "ts": (event.get("t") or 0.0) * scale,
+                "s": "t",
+                "args": args,
+            }
+        )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({"traceEvents": trace_events}, indent=None))
@@ -542,11 +444,11 @@ def render_flight_tail(path, limit: int = 20) -> List[str]:
                 f"{k}={v}"
                 for k, v in entry.items()
                 if k
-                not in ("type", "kind", "trace_id", "t", "seq", "shard", "machine")
+                not in ("type", "kind", "trace_id", "t", "seq", "machine")
                 and v is not None
             )
             lines.append(
-                f"    t={entry.get('t', 0):>10.4f} shard={entry.get('shard')} "
+                f"    t={entry.get('t', 0):>10.4f} machine={str(entry.get('machine'))[:12]} "
                 f"{entry.get('kind', '?'):<16} trace={str(tid)[:12]} {extras}"
             )
     return lines

@@ -103,7 +103,7 @@ class Network:
             # Jitter was flat-fabric noise; with a topology the latency
             # classes carry the heterogeneity, and sub-quantum jitter would
             # break the integer-tick delivery windows that keep batches
-            # (and the sharded engine's barrier) exact.
+            # exact.
             raise ValueError("jitter is not supported with a topology")
         self.scheduler = scheduler or EventScheduler()
         self.latency = latency
@@ -297,7 +297,7 @@ class Network:
             # Topology mode: the delivery window is an integer tick and the
             # timestamp a single multiplication off it, so equal nominal
             # delays always share a batch regardless of how many float
-            # additions produced "now" (cf. sharded.py's exchange rounds).
+            # additions produced "now".
             due = self._now_tick() + link_class.latency_ticks
             if self.batch_delivery:
                 pending = self._pending.get(due)

@@ -14,17 +14,15 @@ hierarchy -- *sites* each holding *racks* -- with three link classes:
 
 Each class has an integer latency in *ticks* of a common ``quantum``
 (virtual-time units), so every per-pair delay is an exact multiple of the
-quantum and delivery windows can be identified by integer tick -- the same
-trick :mod:`repro.salad.sharded` uses for exchange rounds.  Integer windows
-matter: accumulating heterogeneous float delays (``now + delay`` per hop)
+quantum and delivery windows can be identified by integer tick.  Integer
+windows matter: accumulating heterogeneous float delays (``now + delay`` per hop)
 drifts by ulps and can split one logical delivery window into two scheduler
 buckets; ``tick * quantum`` is a single multiplication and cannot.
 
 Placement is deterministic: a machine's (site, rack) is derived by hashing
-its identifier, so the same machine lands on the same site in every engine
-and every run.  The hash deliberately mixes *all* identifier bits --
-placement must stay independent of the low bits, which the sharded engine
-uses to pick sub-cubes and SALAD uses for cell geometry.
+its identifier, so the same machine lands on the same site in every run.
+The hash deliberately mixes *all* identifier bits -- placement must stay
+independent of the low bits, which SALAD uses for cell geometry.
 
 Links are *named* (``rack:2.1``, ``lan:0``, ``wan:1-3``) so partitions can
 be expressed as topology cuts: :meth:`repro.sim.network.Network.cut` severs
@@ -178,37 +176,6 @@ class Topology:
                 f"unknown topology links {unknown!r}; known links are "
                 f"{sorted(known)!r}"
             )
-
-    # -- uniformity (sharding contract) --------------------------------------
-
-    def reachable_classes(self) -> List[LinkClass]:
-        """Link classes that can actually occur between some machine pair."""
-        classes = [self.rack_class]
-        if self.racks_per_site > 1:
-            classes.append(self.lan_class)
-        if self.sites > 1:
-            classes.append(self.wan_class)
-        return classes
-
-    def is_uniform(self) -> bool:
-        """True if every reachable pair has the same delay.
-
-        This is the condition under which the sharded engine's one-window
-        barrier remains sound: all in-flight messages of a window share one
-        delivery tick.
-        """
-        ticks = {cls.latency_ticks for cls in self.reachable_classes()}
-        return len(ticks) == 1
-
-    def uniform_ticks(self) -> int:
-        """The single per-pair delay in ticks (requires :meth:`is_uniform`)."""
-        if not self.is_uniform():
-            raise ValueError(f"topology {self.describe()} is not uniform")
-        return self.rack_class.latency_ticks
-
-    def uniform_latency(self) -> float:
-        """The single per-pair delay in time units (requires uniformity)."""
-        return self.uniform_ticks() * self.quantum
 
     # -- description ---------------------------------------------------------
 

@@ -18,9 +18,8 @@ counts into the metrics registry (``sim.invariants.*``) at report time
 (:meth:`NetworkTracer.feed_registry`).
 
 The tracer wraps ``network.send`` by *instance-attribute* assignment, which
-composes with :class:`repro.salad.sharded.ShardNetwork` (whose ``send`` is
-a class override: the assignment shadows it and the saved original is the
-bound override).  :meth:`detach` restores the original only while this
+composes with a subclass's ``send`` override (the assignment shadows it and
+the saved original is the bound override).  :meth:`detach` restores the original only while this
 tracer is still the active wrapper, so attach/detach of stacked wrappers
 can interleave without clobbering each other.
 """
@@ -182,7 +181,7 @@ class NetworkTracer:
         One labeled ``sim.invariants.violations`` counter per check (created
         even at zero, so a report proves the check ran), plus the number of
         messages the trace covered.  Counters sum under registry merge, so
-        per-shard tracers aggregate like everything else.
+        several tracers aggregate like everything else.
         """
         checks = {
             "hop_bound": self.check_record_hop_bound(dimensions),

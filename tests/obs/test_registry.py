@@ -1,16 +1,16 @@
 """The metrics registry: instruments, labels, merges, and the session switch.
 
-The load-bearing property is merge exactness: the sharded coordinator folds
-one registry per worker and the result must be bit-identical to a
-single-process run, in any merge order.  Hypothesis drives that over random
-observation partitions here; ``tests/salad/test_sharded_golden.py`` pins it
-on real engine traces.
+The load-bearing property is merge exactness: the experiment runner folds
+one registry dump per worker process (``merge_dict``) and the result must be
+bit-identical to observing everything in one registry, in any merge order.
+Hypothesis drives that over random observation partitions here.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.fingerprint import Fingerprint
 from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
@@ -20,6 +20,8 @@ from repro.obs.registry import (
     enabled,
     get_registry,
 )
+from repro.salad.records import SaladRecord
+from repro.salad.salad import Salad, SaladConfig
 
 
 class TestInstruments:
@@ -104,7 +106,7 @@ class TestMerge:
     )
     def test_any_partition_merges_to_the_whole(self, observations, cut):
         """Split one observation stream across two registries; the merge
-        equals observing everything in one registry (the shard contract)."""
+        equals observing everything in one registry (the merge contract)."""
         cut = min(cut, len(observations))
         whole, left, right = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
         for value in observations:
@@ -128,6 +130,55 @@ class TestMerge:
         via_dict = MetricsRegistry().merge(a).merge_dict(b.to_dict())
         direct = MetricsRegistry().merge(a).merge(b)
         assert via_dict.to_dict() == direct.to_dict()
+
+
+class TestRegistryMergeProperties:
+    """Real SALAD harvests -- one per run, as the runner's worker processes
+    ship them -- merge to the same registry in any order and grouping."""
+
+    @pytest.fixture(scope="class")
+    def dumps(self):
+        out = []
+        for seed in range(4):
+            salad = Salad(SaladConfig(dimensions=2, seed=seed, detailed_metrics=True))
+            try:
+                salad.build(12)
+                salad.insert_records(
+                    {
+                        leaf: [
+                            SaladRecord(
+                                fingerprint=Fingerprint(
+                                    size=1024 + n, content_digest=n.to_bytes(20, "big")
+                                ),
+                                location=leaf,
+                            )
+                            for n in range(index % 5, 40, 5)
+                        ]
+                        for index, leaf in enumerate(salad.alive_identifiers())
+                    }
+                )
+                out.append(salad.collect_metrics(MetricsRegistry()).to_dict())
+            finally:
+                salad.shutdown()
+        return out
+
+    @staticmethod
+    def _fold(dumps, order):
+        registry = MetricsRegistry()
+        for index in order:
+            registry.merge_dict(dumps[index])
+        return registry.to_dict()
+
+    @settings(deadline=None, max_examples=20)
+    @given(order=st.permutations(list(range(4))))
+    def test_merge_is_commutative(self, order, dumps):
+        assert self._fold(dumps, order) == self._fold(dumps, range(4))
+
+    def test_merge_is_associative(self, dumps):
+        # ((a+b) + (c+d)) via intermediate registries, vs the flat fold.
+        halves = [self._fold(dumps, (0, 1)), self._fold(dumps, (2, 3))]
+        assert self._fold(halves, (0, 1)) == self._fold(dumps, range(4))
+        assert self._fold(dumps, range(4))["histograms"]
 
 
 class TestSerializationStability:

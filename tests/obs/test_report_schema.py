@@ -59,31 +59,11 @@ class TestBuildAndValidate:
         assert build_run_report(_registry())["phases"] == []
 
     def test_env_extras_land_in_environment(self):
-        report = _report(env={"scale": "small", "shard_workers": 4})
+        report = _report(env={"scale": "small", "db_backend": "wal-paged"})
         assert report["environment"]["scale"] == "small"
-        assert report["environment"]["shard_workers"] == 4
+        assert report["environment"]["db_backend"] == "wal-paged"
         for key in ("python", "platform", "machine", "cpu_count"):
             assert key in report["environment"]
-
-    def test_shards_section(self):
-        dumps = [_registry().to_dict(), _registry().to_dict()]
-        report = _report(shards=dumps)
-        assert validate_run_report(report) == []
-        assert [s["shard"] for s in report["shards"]] == [0, 1]
-
-    def test_shard_phases_attach_per_worker(self):
-        dumps = [_registry().to_dict(), _registry().to_dict()]
-        trees = [
-            [{"name": "shard.step", "seconds": 0.5, "ops": 12}],
-            [{"name": "shard.step", "seconds": 0.4, "children": [
-                {"name": "deliver", "seconds": 0.3}]}],
-        ]
-        report = _report(shards=dumps, shard_phases=trees)
-        assert validate_run_report(report) == []
-        assert report["shards"][0]["phases"] == trees[0]
-        assert report["shards"][1]["phases"][0]["children"][0]["name"] == "deliver"
-        # Round-trips through JSON with the phases intact.
-        assert validate_run_report(json.loads(json.dumps(report))) == []
 
     def test_environment_probe_has_required_keys(self):
         env = environment()
@@ -91,27 +71,14 @@ class TestBuildAndValidate:
             assert key in env
 
     def test_v1_reports_remain_valid(self):
-        # v2 only added the optional traces section: committed v1 artifacts
-        # (docs/flagship_report.json, archived CI reports) must still pass.
+        # v2 only added the optional traces section: v1 reports (archived CI
+        # artifacts, flagship reports written by an older
+        # `python -m repro.experiments.flagship --metrics-out PATH`) must
+        # still pass.
         report = _report()
         report["schema"] = "repro.run-report/1"
         assert report["schema"] in ACCEPTED_SCHEMAS
         assert validate_run_report(report) == []
-
-    def test_empty_worker_phase_tree_renders(self):
-        # A worker that did no spanned work ships an empty tree; the shards
-        # section must validate and summarize without a phases line for it.
-        dumps = [_registry().to_dict(), _registry().to_dict()]
-        report = _report(
-            shards=dumps,
-            shard_phases=[[], [{"name": "shard.step", "seconds": 0.2}]],
-        )
-        assert validate_run_report(report) == []
-        assert report["shards"][0]["phases"] == []
-        table = summary_table(report)
-        assert "2 worker registries merged" in table
-        assert "shard 1: shard.step=0.200s" in table
-        assert "shard 0:" not in table
 
     def test_traces_section_builds_and_validates(self):
         events = [
@@ -160,11 +127,6 @@ class TestCorruptionDetection:
     def test_non_dict_is_rejected(self):
         assert validate_run_report([1, 2]) == ["report is not an object"]
 
-    def test_bad_shard_index_is_caught(self):
-        report = _report(shards=[_registry().to_dict()])
-        report["shards"][0]["shard"] = 7
-        assert any("shard" in p for p in validate_run_report(report))
-
     def test_duplicate_top_level_siblings_rejected(self):
         report = _report()
         report["phases"].append(dict(report["phases"][0]))
@@ -182,22 +144,6 @@ class TestCorruptionDetection:
         problems = validate_run_report(report)
         assert any(
             "phases[0].children has 2 sibling phases named 'inner'" in p
-            for p in problems
-        )
-
-    def test_duplicate_shard_phase_siblings_rejected(self):
-        report = _report(
-            shards=[_registry().to_dict()],
-            shard_phases=[
-                [
-                    {"name": "shard.step", "seconds": 0.1},
-                    {"name": "shard.step", "seconds": 0.2},
-                ]
-            ],
-        )
-        problems = validate_run_report(report)
-        assert any(
-            "shards[0].phases has 2 sibling phases named 'shard.step'" in p
             for p in problems
         )
 
@@ -227,30 +173,6 @@ class TestCorruptionDetection:
         mutate(report["traces"])
         problems = validate_run_report(report)
         assert problems, f"traces corruption not caught: {fragment}"
-        assert any(fragment in p for p in problems)
-
-    @pytest.mark.parametrize(
-        "mutate, fragment",
-        [
-            (lambda s: s.update(phases="not-a-list"), "phases is not a list"),
-            (lambda s: s["phases"][0].pop("seconds"), "seconds"),
-            (lambda s: s["phases"][0].pop("name"), "name"),
-            (
-                lambda s: s["phases"][0]["children"].append({"seconds": 1.0}),
-                "children",
-            ),
-        ],
-    )
-    def test_corrupt_shard_phases_are_caught(self, mutate, fragment):
-        report = _report(
-            shards=[_registry().to_dict()],
-            shard_phases=[
-                [{"name": "shard.step", "seconds": 0.1, "children": []}]
-            ],
-        )
-        mutate(report["shards"][0])
-        problems = validate_run_report(report)
-        assert problems, f"shard-phase corruption not caught: {fragment}"
         assert any(fragment in p for p in problems)
 
 

@@ -12,10 +12,11 @@ counter itself (the whole point: it pins to zero).
 
 ``deferred_width_recalc`` is a different knob: it is NOT trace-identical to
 the eager default (a joining newbie's width stays 0 through a welcome wave),
-so it is compared engine-vs-engine only -- single-process deferred must
-match sharded deferred exactly.
+so its trace is pinned on its own: per-kind message totals, stored records,
+and the match set of a fixed-seed run must stay exactly as recorded.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -24,16 +25,14 @@ from repro.core.fingerprint import Fingerprint
 from repro.obs.registry import MetricsRegistry
 from repro.salad.records import SaladRecord
 from repro.salad.salad import Salad, SaladConfig
-from repro.salad.sharded import ShardedSimulation
 
 LEAVES = 24
 RECORDS_PER_LEAF = 10
 CONTENT_POOL = 60
 
-#: Engine-mechanism namespaces (as in test_sharded_golden) plus the one
-#: counter that legitimately differs between the amortized path and the
-#: reference oracle.
-EXCLUDED_PREFIXES = ("salad.sharded.", "sim.")
+#: The per-process ``sim.`` namespace plus the one counter that
+#: legitimately differs between the amortized path and the reference oracle.
+EXCLUDED_PREFIXES = ("sim.",)
 SCAN_COUNTER = "salad.routing.survivor_scans"
 
 
@@ -133,32 +132,84 @@ class TestAmortizedWidthGolden:
             <= reference_single["width_changes"]
         )
 
-    @pytest.mark.parametrize("workers", [2])
-    def test_amortized_matches_reference_sharded(self, workers, amortized_single):
-        sharded_amortized = _drive(ShardedSimulation(_config(), workers=workers))
-        sharded_reference = _drive(
-            ShardedSimulation(_config(reference_width=True), workers=workers)
-        )
-        _assert_trace_identical(sharded_amortized, sharded_reference)
-        # And both shard runs match the single-process trace.
-        _assert_trace_identical(sharded_amortized, amortized_single)
-        assert sharded_amortized["survivor_scans"] == 0
-        assert sharded_reference["survivor_scans"] > 0
+
+def _digest(rows):
+    return hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()[:16]
+
+
+def _drive_deferred_flagship_shape():
+    """The benchmark's flagship shape in miniature: staged growth, then waves.
+
+    Deferred width recalc, D=2, growth 16 > 32 > 64 leaves, then two insert
+    waves of four records per leaf drawn from 128 contents.
+    """
+    salad = Salad(SaladConfig(dimensions=2, seed=2026, deferred_width_recalc=True))
+    try:
+        for stage in (16, 32, 64):
+            salad.build(stage)
+        identifiers = sorted(salad.alive_identifiers())
+        rng = random.Random(2026)
+        for _wave in range(2):
+            batch = {}
+            for identifier in identifiers:
+                batch[identifier] = []
+                for _ in range(4):
+                    content = rng.randrange(128)
+                    fingerprint = Fingerprint(
+                        size=1024 + content, content_digest=content.to_bytes(20, "big")
+                    )
+                    batch[identifier].append(
+                        SaladRecord(fingerprint=fingerprint, location=identifier)
+                    )
+            salad.insert_records(batch)
+        sent, delivered = {}, {}
+        for traffic in salad.network.traffic.values():
+            for kind, n in traffic.by_kind_sent.items():
+                sent[kind] = sent.get(kind, 0) + n
+            for kind, n in traffic.by_kind_received.items():
+                delivered[kind] = delivered.get(kind, 0) + n
+        # Content size identifies the content (size = 1024 + content id).
+        stored = [
+            (leaf, fingerprint.size, location)
+            for leaf, rows in salad.stored_records().items()
+            for fingerprint, location in rows
+        ]
+        matches = [
+            (machine, match.fingerprint.size, match.other_machine)
+            for machine, match in salad.collected_matches()
+        ]
+        registry = salad.collect_metrics(MetricsRegistry())
+        return {
+            "sent": sent,
+            "delivered": delivered,
+            "stored": (len(stored), _digest(stored)),
+            "matches": (len(matches), _digest(matches)),
+            "survivor_scans": registry.counter_value("salad.routing.survivor_scans"),
+        }
+    finally:
+        salad.shutdown()
 
 
 class TestDeferredRecalcGolden:
-    """Deferral changes the trace (documented, opt-in) but must change it
-    *identically* in both engines: coalesced recalcs run in the merged
-    post-window order the sharded engine reproduces via its 2^63 root key."""
+    """Deferral changes the trace (documented, opt-in), so its trace is
+    pinned to values recorded at a fixed seed rather than compared against
+    the eager default."""
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_deferred_single_matches_deferred_sharded(self, workers):
-        single = _drive(Salad(_config(deferred_width_recalc=True)))
-        sharded = _drive(
-            ShardedSimulation(_config(deferred_width_recalc=True), workers=workers)
-        )
-        _assert_trace_identical(single, sharded)
-        assert single["survivor_scans"] == sharded["survivor_scans"] == 0
+    def test_deferred_trace_is_pinned(self):
+        run = _drive_deferred_flagship_shape()
+        kinds = {
+            "join": 3853,
+            "match": 4204,
+            "record": 4064,
+            "record_batch": 546,
+            "welcome": 913,
+            "welcome_ack": 913,
+        }
+        assert run["sent"] == kinds
+        assert run["delivered"] == kinds
+        assert run["stored"] == (1281, "e30b07e7b08e8617")
+        assert run["matches"] == (4204, "cf85b6e458568152")
+        assert run["survivor_scans"] == 0
 
     def test_deferred_coalesces_recalcs(self):
         eager = _drive(Salad(_config()))
