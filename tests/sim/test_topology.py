@@ -130,6 +130,34 @@ class TestLinks:
             LinkClass("rack", 0, "x")
 
 
+class TestUniformity:
+    """A topology is uniform when every pair of machines sees one delay --
+    the property behind the one-site preset's identity with the flat fabric."""
+
+    @staticmethod
+    def _pair_delays(topo, ids=range(64)):
+        return {topo.delay(a, b) for a in ids for b in ids if a != b}
+
+    def test_one_site_is_uniform(self):
+        assert self._pair_delays(one_site()) == {1.0}
+        assert self._pair_delays(one_site(0.25)) == {0.25}
+
+    def test_mixed_classes_not_uniform(self):
+        assert len(self._pair_delays(corporate())) > 1
+        assert len(self._pair_delays(parse_topology("campus"))) > 1
+
+    def test_unreachable_classes_do_not_break_uniformity(self):
+        # Single rack per site: the lan class can never occur, so only
+        # rack and wan ticks need to agree.
+        topo = Topology(sites=2, racks_per_site=1, rack_ticks=3, lan_ticks=99, wan_ticks=3)
+        ids = range(64)
+        assert {topo.link(a, b)[1].name for a in ids for b in ids if a != b} == {
+            "rack",
+            "wan",
+        }
+        assert {topo.delay_ticks(a, b) for a in ids for b in ids if a != b} == {3}
+
+
 class TestParse:
     def test_flat_forms(self):
         for spec in (None, "", "  ", "none", "flat", "NONE"):
