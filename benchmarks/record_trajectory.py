@@ -10,7 +10,10 @@ current fast paths so every snapshot carries its own before/after ratio:
 
 - ``aes_ctr``: bytes/sec encrypting 1 MiB in CTR mode -- the seed path
   (per-byte rounds, one block per call) vs the bulk vectorized path, plus
-  the warm-keystream-cache repeat;
+  the warm-keystream-cache repeat and a cold 64 KiB file (key schedule and
+  kernel setup included, as on a Farsite write);
+- ``rsa``: private-key operations/sec for a 512-bit key (the per-read
+  unlock of ``mu_u``), checked against ``pow(c, d, n)`` first;
 - ``fingerprints``: fingerprints/sec over 4 KiB blobs, per-item vs batched;
 - ``salad_inserts``: records/sec routed to quiescence through an already
   built SALAD (the build is timed apart, as ``build_seconds``), plus
@@ -59,6 +62,7 @@ import datetime
 import json
 import os
 import platform
+import random
 import sys
 import time
 from pathlib import Path
@@ -71,6 +75,7 @@ from repro.crypto.modes import (
     encrypt_ctr_scalar,
     keystream_cache,
 )
+from repro.crypto.rsa import generate_keypair
 from repro.experiments.dfc_run import DfcConfig
 from repro.farsite.dfc_pipeline import DfcPipeline
 from repro.obs.registry import MetricsRegistry
@@ -130,13 +135,40 @@ def bench_aes_ctr() -> dict:
     bulk_seconds = _best_of(bulk_cold)
     bulk_encrypt_ctr(key, payload)  # warm the (key, nonce) cache entry
     cached_seconds = _best_of(lambda: bulk_encrypt_ctr(key, payload))
+
+    small = payload[: 64 * 1024]
+
+    def bulk_64k_cold() -> bytes:
+        keystream_cache().clear()
+        return bulk_encrypt_ctr(key, small)
+
+    small_seconds = _best_of(bulk_64k_cold, repeats=5)
     return {
         "payload_bytes": MIB,
         "seed_scalar_bytes_per_sec": MIB / seed_seconds,
         "bulk_bytes_per_sec": MIB / bulk_seconds,
         "bulk_cached_bytes_per_sec": MIB / cached_seconds,
+        "bulk_64k_bytes_per_sec": len(small) / small_seconds,
         "speedup_bulk_over_seed": seed_seconds / bulk_seconds,
     }
+
+
+def bench_rsa() -> dict:
+    ops = 200
+    keypair = generate_keypair(512, rng=random.Random(7))
+    n = keypair.public.n
+    ciphertexts = [
+        int.from_bytes(keypair.public.encrypt(bytes(20), rng=random.Random(i)), "big")
+        for i in range(ops)
+    ]
+    for c in ciphertexts[:8]:
+        assert keypair.private_op(c) == pow(c, keypair._d, n)
+
+    def run() -> None:
+        for c in ciphertexts:
+            keypair.private_op(c)
+
+    return {"modulus_bits": 512, "private_ops_per_sec": ops / _best_of(run)}
 
 
 def bench_fingerprints() -> dict:
@@ -595,6 +627,7 @@ def main(argv=None) -> int:
     }
     benches = [
         ("aes_ctr", bench_aes_ctr),
+        ("rsa", bench_rsa),
         ("fingerprints", bench_fingerprints),
         ("salad_inserts", bench_salad_inserts),
         ("salad_routing", bench_salad_routing),

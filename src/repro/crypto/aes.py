@@ -7,7 +7,14 @@ permutation family; any standard block cipher realizes it.  We implement AES
 expansion, SubBytes/ShiftRows/MixColumns rounds, and their inverses -- so the
 repository has no external crypto dependency.
 
-Two encryption paths share the key schedule:
+The key schedule is expanded once per :class:`AES` instance on big-endian
+32-bit words (RotWord/SubWord as shifts and four S-box lookups), and every
+form the encryption paths need is derived from it in the constructor: byte
+round keys, column words, and numpy rows for the vectorized CTR kernel in
+:mod:`repro.crypto.modes`.  Convergent encryption builds a fresh instance
+for every file it encrypts, so the constructor sits on the data path.
+
+Two single-block encryption paths share the key schedule:
 
 - a *scalar reference* path (:meth:`AES.encrypt_block_scalar`) that applies
   SubBytes/ShiftRows/MixColumns byte by byte, straight from the spec; and
@@ -17,7 +24,7 @@ Two encryption paths share the key schedule:
   instead of ~60 byte operations.  The tables are derived from the same
   S-box and GF(2^8) arithmetic as the scalar path, and the property suite
   (``tests/property/test_prop_bulk_crypto.py``) asserts byte-identical
-  output.
+  output.  The CTR kernel pairs these tables up for whole-file keystream.
 
 Verified against the FIPS-197 appendix test vectors in
 ``tests/crypto/test_aes.py``.
@@ -25,7 +32,10 @@ Verified against the FIPS-197 appendix test vectors in
 
 from __future__ import annotations
 
+import struct
 from typing import List
+
+import numpy as _np
 
 BLOCK_SIZE = 16
 
@@ -114,6 +124,33 @@ def _build_t_tables() -> List[List[int]]:
 _T0, _T1, _T2, _T3 = _build_t_tables()
 
 
+def _sub_word(w: int) -> int:
+    """SubBytes on each byte of a 32-bit word."""
+    sbox = _SBOX
+    return (
+        (sbox[w >> 24] << 24)
+        | (sbox[(w >> 16) & 0xFF] << 16)
+        | (sbox[(w >> 8) & 0xFF] << 8)
+        | sbox[w & 0xFF]
+    )
+
+
+def _expand_key(key: bytes, rounds: int) -> List[int]:
+    """FIPS-197 key expansion on big-endian 32-bit words (section 5.2)."""
+    nk = len(key) // 4
+    words = list(struct.unpack(f">{nk}I", key))
+    for i in range(nk, 4 * (rounds + 1)):
+        temp = words[-1]
+        if i % nk == 0:
+            # RotWord then SubWord, then the round constant in the top byte.
+            temp = _sub_word(((temp << 8) | (temp >> 24)) & 0xFFFFFFFF)
+            temp ^= _RCON[i // nk - 1] << 24
+        elif nk > 6 and i % nk == 4:
+            temp = _sub_word(temp)
+        words.append(words[i - nk] ^ temp)
+    return words
+
+
 class AES:
     """The AES block cipher over 16-byte blocks.
 
@@ -131,44 +168,25 @@ class AES:
             )
         self.key = bytes(key)
         self.rounds = _ROUNDS_BY_KEY_BYTES[len(key)]
-        self._round_keys = self._expand_key(key)
-        # Round keys packed as four big-endian 32-bit column words each, for
-        # the T-table path.
-        self._round_key_words = [
-            [
-                (rk[c] << 24) | (rk[c + 1] << 16) | (rk[c + 2] << 8) | rk[c + 3]
-                for c in (0, 4, 8, 12)
-            ]
-            for rk in self._round_keys
-        ]
-
-    def _expand_key(self, key: bytes) -> List[List[int]]:
-        """FIPS-197 key expansion; returns one 16-int round key per round."""
-        nk = len(key) // 4
-        words = [list(key[4 * i : 4 * i + 4]) for i in range(nk)]
-        total_words = 4 * (self.rounds + 1)
-        for i in range(nk, total_words):
-            temp = list(words[i - 1])
-            if i % nk == 0:
-                temp = temp[1:] + temp[:1]
-                temp = [_SBOX[b] for b in temp]
-                temp[0] ^= _RCON[i // nk - 1]
-            elif nk > 6 and i % nk == 4:
-                temp = [_SBOX[b] for b in temp]
-            words.append([words[i - nk][j] ^ temp[j] for j in range(4)])
-        round_keys = []
-        for r in range(self.rounds + 1):
-            rk: List[int] = []
-            for w in words[4 * r : 4 * r + 4]:
-                rk.extend(w)
-            round_keys.append(rk)
-        return round_keys
+        words = _expand_key(self.key, self.rounds)
+        schedule = struct.pack(f">{len(words)}I", *words)
+        # Every view of the schedule is derived here, once: byte round keys
+        # for the reference rounds, big-endian column words for the T-table
+        # path, and numpy rows for the vectorized CTR kernel in modes.py.
+        self._round_keys = [schedule[16 * r : 16 * r + 16] for r in range(self.rounds + 1)]
+        self._round_key_words = [words[4 * r : 4 * r + 4] for r in range(self.rounds + 1)]
+        #: ``(rounds + 1, 16)`` uint8: round key bytes in state order.
+        self.round_key_rows = _np.frombuffer(schedule, dtype=_np.uint8).reshape(
+            self.rounds + 1, 16
+        )
+        #: The same rows as ``(rounds + 1, 4)`` little-endian column words.
+        self.round_key_columns = self.round_key_rows.view("<u4")
 
     # State layout: a flat list of 16 bytes in column-major order, matching
     # the byte order of the input block (FIPS-197 section 3.4).
 
     @staticmethod
-    def _add_round_key(state: List[int], rk: List[int]) -> None:
+    def _add_round_key(state: List[int], rk: bytes) -> None:
         for i in range(16):
             state[i] ^= rk[i]
 

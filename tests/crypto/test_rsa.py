@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.crypto.rsa import RSAError, generate_keypair
+from repro.crypto.rsa import RSAError, RSAKeyPair, generate_keypair
 
 
 class TestRoundTrip:
@@ -65,6 +65,45 @@ class TestKeyGeneration:
 
     def test_modulus_width(self, keypair):
         assert keypair.public.modulus_bits == 512
+
+    def test_seed_42_key_is_pinned(self):
+        """Values recorded before the CRT parameters existed.
+
+        Computing the CRT parameters draws no randomness, so the key for a
+        seed -- and with it every machine identifier and SALAD trace built
+        from seeded keys -- is unchanged.
+        """
+        key = generate_keypair(512, rng=random.Random(42))
+        assert key.public.n == int(
+            "e0ef37513a6851fcb8a20d6f764786255cce3539c4b4b2fe88ad64b2aa89872f"
+            "133d3d3b1c0ef7dbcc4613eb168dfb9899459267e3d4e423b2c3b51c225fbd25",
+            16,
+        )
+        assert key.public.e == 65537
+        assert key._d == int(
+            "45bde608e9732ef88cc6b223bd28b00f25974a297f3407cba3d51f43c65c9ded"
+            "059ca1ed3842d05060adbc6bdc310c81ae8325c6979c78d31aa746dba8bab001",
+            16,
+        )
+
+    def test_crt_parameters_are_consistent(self, keypair):
+        p, q = keypair._p, keypair._q
+        assert p * q == keypair.public.n
+        assert keypair._dp == keypair._d % (p - 1)
+        assert keypair._dq == keypair._d % (q - 1)
+        assert keypair._qinv * q % p == 1
+
+    def test_primes_must_multiply_to_modulus(self, keypair):
+        with pytest.raises(RSAError):
+            RSAKeyPair(
+                public=keypair.public,
+                _d=keypair._d,
+                _p=keypair._p,
+                _q=keypair._q + 2,
+                _dp=keypair._dp,
+                _dq=keypair._dq,
+                _qinv=keypair._qinv,
+            )
 
 
 class TestSerialization:

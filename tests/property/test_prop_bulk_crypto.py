@@ -10,6 +10,7 @@ plaintext -> identical ciphertext across machines), so these run under
 hypothesis rather than a handful of fixed vectors.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,16 +21,21 @@ from repro.core.fingerprint import (
     synthetic_fingerprint,
     synthetic_fingerprint_many,
 )
-from repro.crypto.aes import AES
+from repro.crypto.aes import AES, _T0, _T1, _T2, _T3
 from repro.crypto.modes import (
+    _COLUMN_DTYPE,
+    _PAIR_DTYPE,
+    _VECTOR_MIN_BLOCKS,
     BLOCK_SIZE,
     KeystreamCache,
+    _np_tables,
     bulk_decrypt_ctr,
     bulk_encrypt_ctr,
     ctr_keystream,
     encrypt_ctr,
     encrypt_ctr_scalar,
     keystream_blocks,
+    keystream_cache,
 )
 
 keys = (
@@ -104,6 +110,72 @@ class TestVectorKeystream:
         assert keystream_blocks(cipher, nonce, blocks_) == ctr_keystream(
             cipher, nonce, blocks_
         )
+
+
+class TestKeystreamAtWorkloadSizes:
+    """The kernel at the block counts the Farsite workload actually runs.
+
+    Both sides of the scalar/vector crossover, a count one past a power of
+    two, and 16,384 blocks (256 KiB, the benchmark's file-size cap), for
+    every key size, from a plain nonce and from both straddle points.
+    """
+
+    @pytest.mark.parametrize("key_bytes", [16, 24, 32])
+    @pytest.mark.parametrize(
+        "blocks_", [1, _VECTOR_MIN_BLOCKS - 1, _VECTOR_MIN_BLOCKS, 4097, 16384]
+    )
+    @pytest.mark.parametrize(
+        "nonce", [0x0123456789ABCDEF0011223344556677, (1 << 64) - 5, (1 << 128) - 5]
+    )
+    def test_equals_reference(self, key_bytes, blocks_, nonce):
+        cipher = AES(bytes(range(101, 101 + key_bytes)))
+        assert keystream_blocks(cipher, nonce, blocks_) == ctr_keystream(
+            cipher, nonce, blocks_
+        )
+
+
+class TestKernelLayout:
+    """Tables and views carry explicit byte orders, so no host changes bytes."""
+
+    def test_dtypes_are_explicitly_little_endian(self):
+        tables = _np_tables()
+        assert _PAIR_DTYPE == np.dtype("<u2")
+        assert _COLUMN_DTYPE == np.dtype("<u4")
+        assert tables["t01"].dtype == _COLUMN_DTYPE
+        assert tables["t23"].dtype == _COLUMN_DTYPE
+        assert tables["t01"].shape == tables["t23"].shape == (1 << 16,)
+        cipher = AES(bytes(32))
+        assert cipher.round_key_columns.dtype == _COLUMN_DTYPE
+        assert cipher.round_key_rows.dtype == np.uint8
+        assert cipher.round_key_rows.shape == (cipher.rounds + 1, 16)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=255))
+    def test_paired_entry_is_the_column_in_state_order(self, a, b):
+        """Entry ``a | b << 8`` holds ``T[a] ^ T'[b]`` with row 0 first in memory."""
+        tables = _np_tables()
+        index = a | b << 8
+        assert tables["t01"][index : index + 1].tobytes() == (_T0[a] ^ _T1[b]).to_bytes(4, "big")
+        assert tables["t23"][index : index + 1].tobytes() == (_T2[a] ^ _T3[b]).to_bytes(4, "big")
+
+
+class TestCounterWrap:
+    """The counter wraps modulo 2^128 on every path, as ``ctr_keystream`` does."""
+
+    def test_counter_past_2_128_wraps(self):
+        cipher = AES(bytes(16))
+        nonce = (1 << 128) + 3
+        assert keystream_blocks(cipher, nonce, 16) == ctr_keystream(cipher, nonce, 16)
+        assert keystream_blocks(cipher, nonce, 16) == keystream_blocks(cipher, 3, 16)
+
+    def test_cache_extension_across_the_wrap(self):
+        """Extending a cached stream past 2^128 continues from counter 0."""
+        keystream_cache().clear()
+        key, nonce = bytes(16), (1 << 128) - 2
+        short = bulk_encrypt_ctr(key, bytes(160), nonce)
+        extended = bulk_encrypt_ctr(key, bytes(480), nonce)
+        assert extended[:160] == short
+        assert extended == encrypt_ctr_scalar(key, bytes(480), nonce)
 
 
 class TestBulkCtr:
