@@ -38,7 +38,9 @@ current fast paths so every snapshot carries its own before/after ratio:
   recorded so single-core snapshots read honestly);
 - ``pipeline``: wall seconds for an end-to-end DfcPipeline pass on a small
   corpus, serial vs parallel workers, with the reclaimed-byte accounting
-  asserted identical;
+  asserted identical; plus files/sec of an R=3 pass (``r3_files_per_sec``)
+  and the share of logical bytes the load path materializes, one copy per
+  distinct content (``distinct_bytes_fraction``);
 - ``tradeoff``: the fig-tradeoff replication x dedup frontier -- reclaimed
   fraction and min file availability per (R, dedup) arm, the replica-set
   kill's blast radius (measured loss asserted equal to the analytic
@@ -514,12 +516,25 @@ def bench_pipeline() -> dict:
     parallel = run(workers=0)
     parallel_seconds = time.perf_counter() - start
     assert serial == parallel, "parallel pipeline changed the accounting"
+    # The perfbench configuration: R=3 replicas of every file.
+    replicated = DfcPipeline(corpus, DfcConfig(seed=3, workers=1, replication_factor=3))
+    start = time.perf_counter()
+    replicated.execute()
+    r3_seconds = time.perf_counter() - start
+    replicated.close_stores()
+    distinct = {
+        (stat.content_id, stat.size)
+        for machine in corpus.machines
+        for stat in machine.files
+    }
     return {
         "machines": spec.machines,
         "total_bytes": serial.total_bytes,
         "physically_reclaimed": serial.physically_reclaimed,
         "serial_wall_seconds": serial_seconds,
         "parallel_wall_seconds": parallel_seconds,
+        "r3_files_per_sec": len(replicated.replicas) / r3_seconds,
+        "distinct_bytes_fraction": sum(size for _, size in distinct) / corpus.total_bytes,
     }
 
 

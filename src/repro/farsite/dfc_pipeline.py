@@ -48,12 +48,13 @@ from repro.workload.corpus import Corpus
 
 
 def _materialize_file(args: Tuple[int, int]) -> Tuple[bytes, Fingerprint]:
-    """Per-file unit of work: produce the (encrypted) blob and its fingerprint.
+    """Per-content unit of work: produce the (encrypted) blob and its fingerprint.
 
     The blob stands in for the convergent ciphertext ``c_f``; both it and the
     fingerprint (the same ``synthetic_fingerprint`` the SALAD records carry)
-    are pure functions of ``(content_id, size)``, so a pool worker and the
-    serial loop produce identical results.
+    are pure functions of ``(content_id, size)``, so every file with that
+    content can share one result, and a pool worker and the serial loop
+    produce identical results.
     """
     content_id, size = args
     blob = synthetic_content(content_id, size)
@@ -149,10 +150,11 @@ class DfcPipeline:
 
         Each file's blob is the deterministic stand-in for its convergently
         encrypted content; identical contents yield identical blobs, which
-        is the property SIS coalescing keys on.  Materialization and
-        fingerprinting fan out over ``config.workers`` processes; results
-        are applied in file order, so the loaded state is independent of the
-        worker count.
+        is the property SIS coalescing keys on.  Each distinct
+        ``(content_id, size)`` is materialized and fingerprinted once, fanned
+        out over ``config.workers`` processes, and every file (and replica)
+        with that content stores the same blob; results are applied in file
+        order, so the loaded state is independent of the worker count.
 
         With ``config.replication_factor`` R >= 2 each file's blob lands on
         R distinct hosts chosen by the availability-driven hill-climbing
@@ -179,12 +181,15 @@ class DfcPipeline:
         with span("place_replicas") as place_span:
             assignment = self._place_replicas([t[0] for t in tasks], [t[1] for t in tasks])
             place_span.set_ops(len(assignment))
-        materialized = parallel_map(
-            _materialize_file,
-            [task[2] for task in tasks],
-            workers=self.config.workers,
+        contents = list(dict.fromkeys(task[2] for task in tasks))
+        materialized = dict(
+            zip(
+                contents,
+                parallel_map(_materialize_file, contents, workers=self.config.workers),
+            )
         )
-        for (file_id, owner, _), (blob, fingerprint) in zip(tasks, materialized):
+        for file_id, owner, content in tasks:
+            blob, fingerprint = materialized[content]
             hosts = assignment[file_id]
             for host in hosts:
                 self.hosts[host].sis.store(file_id, blob)
@@ -239,8 +244,6 @@ class DfcPipeline:
         the union-find prediction when discovery found two disjoint
         components of the same content.
         """
-        from repro.analysis.space import UnionFind
-
         matched_machines: Dict[Fingerprint, set] = {}
         for machine, payload in self.run.salad.collected_matches():
             members = matched_machines.setdefault(payload.fingerprint, set())
@@ -285,11 +288,9 @@ class DfcPipeline:
     def report(self, plan: Optional[RelocationPlan] = None) -> PipelineReport:
         """Final accounting; *plan* is None when relocation was skipped
         (the dedup-off arms of the fig-tradeoff sweep)."""
-        total = sum(
-            stats.logical_bytes
-            for stats in (host.sis.stats() for host in self.hosts.values())
-        )
-        physical = sum(host.sis.stats().physical_bytes for host in self.hosts.values())
+        stats = [host.sis.stats() for host in self.hosts.values()]
+        total = sum(s.logical_bytes for s in stats)
+        physical = sum(s.physical_bytes for s in stats)
         predicted = reclaimed_bytes_from_matches(self.run.salad.collected_matches())
         min_avail, mean_avail = self.availability_stats()
         return PipelineReport(

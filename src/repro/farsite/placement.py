@@ -16,6 +16,7 @@ File availability for failure-independent machines is
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -42,6 +43,8 @@ class PlacementProblem:
             # min/mean-availability figure downstream.
             if not 0.0 < a <= 1.0:
                 raise ValueError(f"availability of {mid:#x} must be in (0,1]: {a}")
+            if mid not in self.machine_capacity:
+                raise ValueError(f"machine {mid:#x} has availability but no capacity")
         for mid, slots in self.machine_capacity.items():
             if slots < 0:
                 raise ValueError(f"capacity of {mid:#x} must be >= 0: {slots}")
@@ -127,24 +130,34 @@ def place_replicas(
 
     # Hill climbing: swap one replica between the min-availability file and
     # a random other file when that raises the minimum of the pair.  Only
-    # the two swapped files' availabilities change per round, so the cache
-    # updates two entries instead of rescanning every file (the rescan made
-    # the climb O(files x swap_rounds); same floats, same tie-breaks, so
-    # the resulting assignment is identical under a fixed RNG).
+    # the two swapped files' availabilities change per round, so a
+    # lazy-deletion heap of (availability, file index) finds the minimum
+    # without rescanning every file: entries whose availability is stale
+    # are popped until the top is current.  Ties order by file index,
+    # which is min()'s first-occurrence rule, and the RNG draws are the
+    # same, so the assignment equals the recompute-every-round climb's.
     fids = list(assignment)
-    avail = {fid: file_availability(assignment[fid], availability) for fid in fids}
+    avail = [file_availability(assignment[fid], availability) for fid in fids]
+    heap = [(value, index) for index, value in enumerate(avail)]
+    heapq.heapify(heap)
     for _ in range(swap_rounds):
         if len(fids) < 2:
             break
-        low = min(fids, key=lambda f: avail[f])
-        high = rng.choice(fids)
-        if high == low:
+        while heap[0][0] != avail[heap[0][1]]:
+            heapq.heappop(heap)
+        low_index = heap[0][1]
+        high_index = rng.randrange(len(fids))  # the draw rng.choice(fids) makes
+        if high_index == low_index:
             continue
+        low, high = fids[low_index], fids[high_index]
         improved = _try_swap(assignment[low], assignment[high], availability)
         if improved is not None:
             assignment[low], assignment[high] = improved
-            avail[low] = file_availability(assignment[low], availability)
-            avail[high] = file_availability(assignment[high], availability)
+            for index, fid in ((low_index, low), (high_index, high)):
+                value = file_availability(assignment[fid], availability)
+                if value != avail[index]:
+                    avail[index] = value
+                    heapq.heappush(heap, (value, index))
 
     return Placement(
         assignment={fid: tuple(hosts) for fid, hosts in assignment.items()},

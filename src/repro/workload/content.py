@@ -14,9 +14,13 @@ downstream component (fingerprinting, SIS coalescing) relies on.
 
 from __future__ import annotations
 
-import hashlib
+from hashlib import sha512
 
 _SEED_BYTES = 64
+
+#: The first big-endian 8-byte counters, enough for 64 KiB of output
+#: (1,024 SHA-512 blocks); larger sizes build the rest inline.
+_COUNTERS = tuple(c.to_bytes(8, "big") for c in range(1024))
 
 
 def synthetic_content(content_id: int, size: int) -> bytes:
@@ -28,12 +32,9 @@ def synthetic_content(content_id: int, size: int) -> bytes:
     """
     if size < 0:
         raise ValueError(f"size cannot be negative: {size}")
-    if size == 0:
-        return b""
     token = b"synthetic-content:%d:%d" % (size, content_id)
-    out = bytearray()
-    counter = 0
-    while len(out) < size:
-        out.extend(hashlib.sha512(token + counter.to_bytes(8, "big")).digest())
-        counter += 1
-    return bytes(out[:size])
+    blocks = -(-size // _SEED_BYTES)
+    counters = _COUNTERS[:blocks]
+    if blocks > len(_COUNTERS):
+        counters += tuple(c.to_bytes(8, "big") for c in range(len(_COUNTERS), blocks))
+    return b"".join([sha512(token + c).digest() for c in counters])[:size]

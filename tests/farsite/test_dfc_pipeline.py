@@ -178,3 +178,52 @@ class TestThreshold:
         for _, payload in pipeline.run.salad.collected_matches():
             assert payload.fingerprint.size >= 16 * 1024
         assert report.physically_reclaimed >= report.predicted_reclaimed
+
+
+class TestLoadPath:
+    """Loading pays once per distinct content, at any worker count."""
+
+    def test_one_materialization_per_distinct_content(self, monkeypatch):
+        import repro.farsite.dfc_pipeline as pipeline_module
+
+        calls = []
+        original = pipeline_module.synthetic_content
+
+        def counting(content_id, size):
+            calls.append((content_id, size))
+            return original(content_id, size)
+
+        monkeypatch.setattr(pipeline_module, "synthetic_content", counting)
+        corpus = generate_corpus(SPEC, seed=5)
+        pipeline = DfcPipeline(
+            corpus, DfcConfig(seed=5, workers=1, replication_factor=3)
+        )
+        pipeline.execute()
+        pipeline.close_stores()
+        distinct = {
+            (stat.content_id, stat.size)
+            for machine in corpus.machines
+            for stat in machine.files
+        }
+        assert len(distinct) < sum(len(m.files) for m in corpus.machines)
+        assert sorted(calls) == sorted(distinct)
+
+    @pytest.mark.parametrize("replication", [1, 3])
+    def test_loaded_state_independent_of_workers(self, replication):
+        corpus = generate_corpus(SPEC, seed=5)
+        outcomes = []
+        for workers in (1, 2):
+            pipeline = DfcPipeline(
+                corpus,
+                DfcConfig(seed=5, workers=workers, replication_factor=replication),
+            )
+            report = pipeline.execute()
+            outcomes.append(
+                (
+                    pipeline.replicas,
+                    {h: host.sis.stats() for h, host in pipeline.hosts.items()},
+                    report,
+                )
+            )
+            pipeline.close_stores()
+        assert outcomes[0] == outcomes[1]

@@ -11,6 +11,8 @@ from repro.farsite.placement import (
     place_replicas,
 )
 
+from .placement_reference import reference_climb
+
 
 def make_problem(machines=10, files=8, r=3, capacity=None):
     rng = random.Random(1)
@@ -116,6 +118,17 @@ class TestProblemValidation:
                 replication_factor=1,
             )
 
+    def test_availability_without_capacity_rejected(self):
+        """A machine with an availability but no capacity entry is named,
+        not left to surface as a bare KeyError inside the greedy pass."""
+        with pytest.raises(ValueError, match="0x4 has availability but no capacity"):
+            PlacementProblem(
+                machine_availability={1: 0.9, 2: 0.8, 3: 0.7, 4: 0.5},
+                machine_capacity={1: 5, 2: 5, 3: 5},
+                file_ids=["a", "b"],
+                replication_factor=3,
+            )
+
     def test_invalid_replication_factor_rejected(self):
         with pytest.raises(ValueError, match="replication factor"):
             PlacementProblem(
@@ -127,44 +140,69 @@ class TestProblemValidation:
 
 
 class TestHillClimbCachePinning:
-    """The availability cache must not change what the climb computes.
+    """The heap-indexed climb must not change what the climb computes.
 
-    The pre-fix climb recomputed every file's availability each round
-    (O(files x swap_rounds)); the cached climb updates only the two
-    swapped files.  Same RNG stream, same float computations, same
-    tie-breaking -- so the final assignment must be *identical*, not just
-    equally good.  This pins that equivalence against a straightforward
-    recompute-everything reference.
+    The climb finds each round's minimum-availability file through a
+    lazy-deletion heap instead of rescanning every file.  Same RNG stream,
+    same float computations, same tie-breaking -- so the final assignment
+    must be *identical*, not just equally good.  This pins that
+    equivalence against a straightforward recompute-everything reference.
     """
-
-    @staticmethod
-    def _reference_climb(problem, seed, swap_rounds):
-        from repro.farsite.placement import _try_swap
-
-        greedy = place_replicas(problem, rng=random.Random(0), swap_rounds=0)
-        assignment = {fid: list(hosts) for fid, hosts in greedy.assignment.items()}
-        availability = problem.machine_availability
-        rng = random.Random(seed)
-        fids = list(assignment)
-        for _ in range(swap_rounds):
-            if len(fids) < 2:
-                break
-            low = min(
-                fids, key=lambda f: file_availability(assignment[f], availability)
-            )
-            high = rng.choice(fids)
-            if high == low:
-                continue
-            improved = _try_swap(assignment[low], assignment[high], availability)
-            if improved is not None:
-                assignment[low], assignment[high] = improved
-        return {fid: tuple(hosts) for fid, hosts in assignment.items()}
 
     @pytest.mark.parametrize("seed", [2, 9, 31])
     def test_cached_climb_matches_recompute_reference(self, seed):
         problem = make_problem(machines=14, files=12, r=3)
-        expected = self._reference_climb(problem, seed, swap_rounds=300)
+        expected = reference_climb(problem, seed, swap_rounds=300)
         cached = place_replicas(
             problem, rng=random.Random(seed), swap_rounds=300
         )
         assert cached.assignment == expected
+
+    def test_all_ties_broken_by_file_order(self):
+        """Every machine equally available: every file ties every round."""
+        problem = PlacementProblem(
+            machine_availability={m: 0.6 for m in range(9)},
+            machine_capacity={m: 8 for m in range(9)},
+            file_ids=[f"f{i}" for i in range(20)],
+            replication_factor=3,
+        )
+        expected = reference_climb(problem, 5, swap_rounds=200)
+        placed = place_replicas(problem, rng=random.Random(5), swap_rounds=200)
+        assert placed.assignment == expected
+
+    def test_two_levels_tie_break_picks_the_swapped_file(self):
+        """Two availability levels: many files tie at the minimum, swaps do
+        improve, and which tied file the climb swaps decides the result."""
+        problem = PlacementProblem(
+            machine_availability={m: (0.4 if m % 2 else 0.9) for m in range(10)},
+            machine_capacity={m: 12 for m in range(10)},
+            file_ids=[f"f{i}" for i in range(30)],
+            replication_factor=2,
+        )
+        greedy = place_replicas(problem, rng=random.Random(0), swap_rounds=0)
+        expected = reference_climb(problem, 8, swap_rounds=300)
+        placed = place_replicas(problem, rng=random.Random(8), swap_rounds=300)
+        assert expected != greedy.assignment
+        assert placed.assignment == expected
+
+    def test_benchmark_shaped_problem(self):
+        """64 machines, ~2,600 files, R=3, 2,000 rounds: the DFC bench's size."""
+        rng = random.Random(11)
+        machines = 64
+        files = 2600
+        slots = -(-files * 3 // machines) + 3
+        problem = PlacementProblem(
+            machine_availability={m: 0.30 + 0.65 * rng.random() for m in range(machines)},
+            machine_capacity={m: slots for m in range(machines)},
+            file_ids=[f"m{i % machines}-f{i}" for i in range(files)],
+            replication_factor=3,
+        )
+        expected = reference_climb(problem, 18, swap_rounds=2000)
+        placed = place_replicas(problem, rng=random.Random(18), swap_rounds=2000)
+        assert placed.assignment == expected
+
+    def test_more_rounds_than_files(self):
+        problem = make_problem(machines=8, files=5, r=2)
+        expected = reference_climb(problem, 3, swap_rounds=400)
+        placed = place_replicas(problem, rng=random.Random(3), swap_rounds=400)
+        assert placed.assignment == expected

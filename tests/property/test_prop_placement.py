@@ -3,7 +3,8 @@
 Whatever the availabilities, capacities, and RNG seed, a placement must
 (a) give every file exactly R distinct hosts and (b) never exceed any
 machine's replica-slot capacity -- the two invariants the DFC pipeline's
-replication stage leans on.
+replication stage leans on -- and (c) make exactly the assignment of the
+recompute-everything reference climb.
 """
 
 import random
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.farsite.placement import PlacementProblem, place_replicas
+from tests.farsite.placement_reference import reference_climb
 
 
 @st.composite
@@ -75,3 +77,12 @@ class TestPlacementProperties:
         placement = place_replicas(problem, rng=random.Random(seed), swap_rounds=50)
         for value in placement.file_availabilities().values():
             assert 0.0 < value <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(problems(), st.integers(min_value=0, max_value=120))
+    def test_climb_matches_recompute_reference(self, case, swap_rounds):
+        problem, seed = case
+        placement = place_replicas(
+            problem, rng=random.Random(seed), swap_rounds=swap_rounds
+        )
+        assert placement.assignment == reference_climb(problem, seed, swap_rounds)
