@@ -69,7 +69,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core.fingerprint import fingerprint_many, fingerprint_of
+from repro.core.fingerprint import Fingerprint, fingerprint_many, fingerprint_of
 from repro.crypto.aes import AES
 from repro.crypto.modes import (
     BLOCK_SIZE,
@@ -480,6 +480,16 @@ def bench_db_backends(records: int = 5000, lookups: int = 1000) -> dict:
         for i in range(records)
     ]
     probes = [r.fingerprint for r in recs[:lookups]]
+    # One leaf's view: every record in a leaf's store shares the leaf's
+    # cell-ID, the low bits of the digest.  Informational, no gate.
+    rng = random.Random(16)
+    clustered = [
+        SaladRecord(
+            fingerprint=Fingerprint(size=1 + i, content_digest=rng.randbytes(18) + b"\xbe\xef"),
+            location=i % 97,
+        )
+        for i in range(lookups)
+    ]
     out: dict = {"records": records, "lookups": lookups}
     reference = None
     for backend in BACKENDS:
@@ -494,9 +504,16 @@ def bench_db_backends(records: int = 5000, lookups: int = 1000) -> dict:
                 reference = final
             assert final == reference, f"{backend} diverged from the contract"
             store.close()
+            store = make_record_store(backend, db_dir=d, name="clustered")
+            store.insert_many(clustered)
+            clustered_seconds = _best_of(
+                lambda: [store.has_location(r.fingerprint, r.location) for r in clustered]
+            )
+            store.close()
         out[backend] = {
             "inserts_per_sec": records / insert_seconds,
             "lookups_per_sec": lookups / lookup_seconds,
+            "clustered_lookups_per_sec": lookups / clustered_seconds,
         }
     return out
 

@@ -54,6 +54,20 @@ from repro.sim.network import Message, Network
 _LOCAL = object()
 
 
+def _mismatch_axis(diff: int, masks) -> Optional[int]:
+    """The one axis a masked id xor *diff* sets bits on.
+
+    -1 if it sets none (cell-aligned), None if it sets bits on two or more
+    axes (not vector-aligned).  Cell-ID bit b belongs to axis b mod D
+    (:func:`~repro.salad.ids.axis_masks`), so the lowest set bit names the
+    only axis the xor can be confined to.
+    """
+    if not diff:
+        return -1
+    axis = ((diff & -diff).bit_length() - 1) % len(masks)
+    return axis if (diff & masks[axis]) == diff else None
+
+
 class SaladLeaf(SimMachine):
     """One SALAD leaf (machine) with its table, database, and protocols."""
 
@@ -199,6 +213,9 @@ class SaladLeaf(SimMachine):
         # the cycle and loses nothing (the first arrival already triggered
         # this leaf's forwarding and welcome).
         self._seen_joins: Set[int] = set()
+        #: Joins this leaf should have forwarded (Fig. 5) but had no target
+        #: for: its table held no leaf in the direction the join must go.
+        self.join_dead_ends = 0
 
         self._in_recalculate = False
         self.width_changes = 0
@@ -257,15 +274,7 @@ class SaladLeaf(SimMachine):
     def _survives_next_width(self, identifier: int) -> bool:
         """Would *identifier* stay vector-aligned at width W+1?"""
         diff = (identifier ^ self.identifier) & self._next_cell_mask
-        if not diff:
-            return True
-        mismatched = False
-        for mask in self._next_axis_masks:
-            if diff & mask:
-                if mismatched:
-                    return False
-                mismatched = True
-        return True
+        return _mismatch_axis(diff, self._next_axis_masks) is not None
 
     def _index_add(self, identifier: int) -> bool:
         """Place a leaf into the cellmate/vector index.
@@ -273,37 +282,34 @@ class SaladLeaf(SimMachine):
         Returns False if the leaf is not vector-aligned under the current
         width (in which case it does not belong in the table at all).
         """
-        # Inline of the Delta-set scan over the leaf's cached masks: coords
-        # on axis d agree iff the xor has no bits under that axis's mask.
         diff = (identifier ^ self.identifier) & self._cell_mask
-        if not diff:
+        axis = _mismatch_axis(diff, self._axis_masks)
+        if axis is None:
+            return False
+        if axis < 0:
             self._cellmates.add(identifier)
-            self._next_hop_cache.clear()
-            if self._survives_next_width(identifier):
-                self._next_width_survivors += 1
-            else:
-                self._next_width_dropped.add(identifier)
-            return True
-        axis = -1
-        for d, mask in enumerate(self._axis_masks):
-            if diff & mask:
-                if axis >= 0:
-                    return False  # two mismatching axes: not vector-aligned
-                axis = d
-        key = identifier & self._axis_masks[axis]
-        self._vectors[axis].setdefault(key, set()).add(identifier)
-        self._next_hop_cache.clear()
+        else:
+            key = identifier & self._axis_masks[axis]
+            self._vectors[axis].setdefault(key, set()).add(identifier)
         if self._survives_next_width(identifier):
             self._next_width_survivors += 1
         else:
             self._next_width_dropped.add(identifier)
+        self._next_hop_cache.clear()
         return True
 
     def _index_remove(self, identifier: int) -> None:
-        self._cellmates.discard(identifier)
-        for by_key in self._vectors.values():
-            for members in by_key.values():
-                members.discard(identifier)
+        # The index is rebuilt on every width change, so the current masks
+        # locate the entry's bucket exactly as _index_add filed it.
+        axis = _mismatch_axis(
+            (identifier ^ self.identifier) & self._cell_mask, self._axis_masks
+        )
+        if axis == -1:
+            self._cellmates.discard(identifier)
+        elif axis is not None:
+            bucket = self._vectors[axis].get(identifier & self._axis_masks[axis])
+            if bucket is not None:
+                bucket.discard(identifier)
         # The partition classifies on entry, so removal only needs a set
         # probe, not a fresh alignment check.
         if identifier in self._next_width_dropped:
@@ -313,17 +319,49 @@ class SaladLeaf(SimMachine):
         self._next_hop_cache.clear()
 
     def _rebuild_index(self) -> None:
-        self._cell_mask = (1 << self.width) - 1
-        self._axis_masks = axis_masks(self.width, self.dimensions)
-        self._next_cell_mask = (1 << (self.width + 1)) - 1
-        self._next_axis_masks = axis_masks(self.width + 1, self.dimensions)
-        self._next_width_survivors = 0
-        self._next_width_dropped = set()
+        """Re-derive the index at the current width in one pass.
+
+        Same placement as one :meth:`_index_add` per table entry, in table
+        order (so every bucket set iterates identically), with the masks
+        bound once and the next-hop cache cleared once.
+        """
+        self._cell_mask = cell_mask = (1 << self.width) - 1
+        self._axis_masks = masks = axis_masks(self.width, self.dimensions)
+        self._next_cell_mask = next_mask = (1 << (self.width + 1)) - 1
+        self._next_axis_masks = next_masks = axis_masks(self.width + 1, self.dimensions)
         self._next_hop_cache.clear()
-        self._cellmates = set()
-        self._vectors = {d: {} for d in range(self.dimensions)}
+        me = self.identifier
+        dims = self.dimensions
+        cellmates: Set[int] = set()
+        vectors: Dict[int, Dict[int, Set[int]]] = {d: {} for d in range(dims)}
+        dropped: Set[int] = set()
+        survivors = 0
+        # _mismatch_axis inlined: this loop runs once per table entry per
+        # width change, the bulk of all index work in a growing SALAD.
         for identifier in self.leaf_table:
-            self._index_add(identifier)
+            xor = identifier ^ me
+            diff = xor & cell_mask
+            if diff:
+                axis = ((diff & -diff).bit_length() - 1) % dims
+                mask = masks[axis]
+                if (diff & mask) != diff:
+                    continue  # not vector-aligned at this width: not indexed
+                bucket = vectors[axis].get(identifier & mask)
+                if bucket is None:
+                    vectors[axis][identifier & mask] = {identifier}
+                else:
+                    bucket.add(identifier)
+            else:
+                cellmates.add(identifier)
+            diff = xor & next_mask  # a zero diff passes whichever mask it picks
+            if (diff & next_masks[((diff & -diff).bit_length() - 1) % dims]) != diff:
+                dropped.add(identifier)
+            else:
+                survivors += 1
+        self._cellmates = cellmates
+        self._vectors = vectors
+        self._next_width_dropped = dropped
+        self._next_width_survivors = survivors
 
     def add_leaf(self, identifier: int, recalculate: bool = True) -> bool:
         """Add a vector-aligned leaf to the table; returns True if added."""
@@ -406,11 +444,12 @@ class SaladLeaf(SimMachine):
         return len(pairs)
 
     def _on_record(self, message: Message) -> None:
-        record, hops = message.payload
         tracer = _tracing.ACTIVE
-        if tracer is not None and tracer.sampled(record._rid):
-            tracer.record_hop(record, hops, message.sender, self.identifier)
-        self._process_batch([(record, hops)])
+        if tracer is not None:
+            record, hops = message.payload
+            if tracer.sampled(record._rid):
+                tracer.record_hop(record, hops, message.sender, self.identifier)
+        self._process_batch((message.payload,))
 
     def _on_record_batch(self, message: Message) -> None:
         tracer = _tracing.ACTIVE
@@ -419,9 +458,9 @@ class SaladLeaf(SimMachine):
             for record, hops in message.payload:
                 if tracer.sampled(record._rid):
                     tracer.record_hop(record, hops, sender, self.identifier)
-        self._process_batch(list(message.payload))
+        self._process_batch(message.payload)
 
-    def _process_batch(self, pairs: List[tuple]) -> None:
+    def _process_batch(self, pairs: Iterable[tuple]) -> None:
         """Route/store a batch of ``(record, hops)`` pairs, coalescing forwards.
 
         Each record follows the Fig. 4 procedure independently; the batch
@@ -509,7 +548,7 @@ class SaladLeaf(SimMachine):
             forwards.setdefault(target, []).append((record, hops + 1))
 
     def _route_batch_indexed(
-        self, pairs: List[tuple], forwards: Dict[int, List[tuple]]
+        self, pairs: Iterable[tuple], forwards: Dict[int, List[tuple]]
     ) -> None:
         """Batch form of :meth:`_route_record_indexed` with locals bound.
 
@@ -635,12 +674,13 @@ class SaladLeaf(SimMachine):
     def _on_join(self, message: Message) -> None:
         """The Fig. 5 procedure for a join `<s, n>` arriving at leaf I."""
         payload: JoinPayload = message.payload
-        s, n = payload.sender, payload.new_leaf
-        if n == self.identifier:
-            return  # my own join echoed back; nothing to do
-        if n in self._seen_joins:
-            return  # flood suppression; already forwarded and welcomed
+        n = payload.new_leaf
+        # Most join deliveries end here: flood suppression (this leaf already
+        # forwarded and welcomed n), or my own join echoed back.
+        if n in self._seen_joins or n == self.identifier:
+            return
         self._seen_joins.add(n)
+        s = payload.sender
         eff = self.effective_dimensions
 
         # Mask arithmetic: coordinate d of two identifiers differs iff their
@@ -656,22 +696,25 @@ class SaladLeaf(SimMachine):
             sender_delta = -1
         else:
             s_diff = (n ^ s) & self._cell_mask
-            sender_delta = sum(1 for d in range(eff) if s_diff & masks[d])
+            sender_delta = len([d for d in range(eff) if s_diff & masks[d]])
 
-        forward = JoinPayload(sender=self.identifier, new_leaf=n)
+        # Equal alignment (sender_delta == delta) forwards nothing: the
+        # sender's other recipients cover the remaining paths.  So does a
+        # cell-aligned leaf hearing from a less aligned sender.
+        targets: Iterable[int] = ()
+        should_forward = sender_delta < delta or (sender_delta > delta and delta > 0)
         if sender_delta > delta:
             # Sender has higher dimensional alignment: move down one degree.
             if delta > 1:
-                for d in delta_set:
-                    if (d + 1) % eff in delta_set:
-                        continue
-                    for target in self._vector_members_key(d, n & masks[d]):
-                        self.send(target, protocol.JOIN, forward)
+                targets = [
+                    target
+                    for d in delta_set
+                    if (d + 1) % eff not in delta_set
+                    for target in self._vector_members_key(d, n & masks[d])
+                ]
             elif delta == 1:
                 # I am vector-aligned: forward to every leaf in my vector.
-                for d in delta_set:  # exactly one element
-                    for target in self._axis_members(d):
-                        self.send(target, protocol.JOIN, forward)
+                targets = self._axis_members(delta_set[0])
         elif sender_delta < delta:
             if delta < eff:
                 # Forward *up* one degree of alignment: pick a random matching
@@ -681,22 +724,25 @@ class SaladLeaf(SimMachine):
                 width_d = coordinate_width(self.width, self.dimensions, d)
                 coords = [c for c in range(1 << width_d) if c != self.coord(n, d)]
                 if coords:
-                    c = self._rng.choice(coords)
-                    for target in self._vector_members(d, c):
-                        self.send(target, protocol.JOIN, forward)
+                    targets = self._vector_members(d, self._rng.choice(coords))
             elif delta > 1:
                 # I have minimal alignment with n: initiate the batches, one
                 # per mismatching dimension.
-                for d in delta_set:
-                    for target in self._vector_members_key(d, n & masks[d]):
-                        self.send(target, protocol.JOIN, forward)
+                targets = [
+                    target
+                    for d in delta_set
+                    for target in self._vector_members_key(d, n & masks[d])
+                ]
             else:
                 # I'm vector-aligned and effective dimensionality is 1:
                 # forward the join to everyone I know.
-                for target in self.leaf_table:
-                    self.send(target, protocol.JOIN, forward)
-        # Equal alignment (sender_delta == delta) forwards nothing: the
-        # sender's other recipients cover the remaining paths.
+                targets = list(self.leaf_table)
+        if should_forward and not targets:
+            self.join_dead_ends += 1
+        if targets:
+            forward = JoinPayload(sender=self.identifier, new_leaf=n)
+            for target in targets:
+                self.send(target, protocol.JOIN, forward)
         if delta < 2:
             # I am vector-aligned (or cell-aligned) with the new leaf.
             self.send(n, protocol.WELCOME)

@@ -60,7 +60,7 @@ ALL_KINDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinPayload:
     """`<s, n>` of Fig. 5: forwarding sender and the joining leaf."""
 
@@ -68,7 +68,7 @@ class JoinPayload:
     new_leaf: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchPayload:
     """A duplicate notification: some other machine holds the same content."""
 

@@ -31,7 +31,7 @@ from repro.salad.storage import (
 )
 from repro.sim.events import EventScheduler
 from repro.sim.failure import fail_exact_fraction
-from repro.sim.network import Network
+from repro.sim.network import Network, TopologyNetwork
 from repro.sim.topology import Topology
 
 #: Per-process sequence distinguishing the durable-store directories of
@@ -235,12 +235,13 @@ class Salad:
     def __init__(self, config: SaladConfig, network: Optional[Network] = None):
         self.config = config
         self._rng = random.Random(config.seed)
-        self.network = network or Network(
-            scheduler=EventScheduler(),
-            latency=config.latency,
-            rng=random.Random(self._rng.getrandbits(64)),
-            topology=config.topology,
-        )
+        if network is None:
+            rng = random.Random(self._rng.getrandbits(64))
+            if config.topology is None:
+                network = Network(EventScheduler(), config.latency, rng=rng)
+            else:
+                network = TopologyNetwork(EventScheduler(), config.topology, rng=rng)
+        self.network = network
         self.leaves: Dict[int, SaladLeaf] = {}
         self._join_order: List[int] = []
         # Alive-leaf list in creation order, maintained incrementally so the

@@ -616,7 +616,7 @@ class _OffsetIndex:
     offset filed under the key, probing past tombstones until EMPTY).
     """
 
-    __slots__ = ("_slots", "_mask", "_table", "_used", "_live")
+    __slots__ = ("_slots", "_mask", "_table", "_used", "_live", "probes")
 
     _EMPTY = 0
     _TOMBSTONE = 1
@@ -627,6 +627,8 @@ class _OffsetIndex:
         self._table = array("Q", bytes(16 * slots))
         self._used = 0  # non-EMPTY slots (live + tombstones)
         self._live = 0
+        #: Slots :meth:`lookup` has read, EMPTY terminators included.
+        self.probes = 0
 
     def __len__(self) -> int:
         return self._live
@@ -650,11 +652,12 @@ class _OffsetIndex:
     def lookup(self, key: int) -> List[int]:
         """Every offset filed under *key* (hash collisions included)."""
         table, mask = self._table, self._mask
-        i = key & mask
+        home = i = key & mask
         out: List[int] = []
         while True:
             value = table[2 * i + 1]
             if value == self._EMPTY:
+                self.probes += ((i - home) & mask) + 1
                 return out
             if value != self._TOMBSTONE and table[2 * i] == key:
                 out.append(value)
@@ -787,9 +790,13 @@ class PagedWalRecordStore(RecordStore):
 
     @staticmethod
     def _key64(sort_key: bytes) -> int:
-        # The sort key ends in the fingerprint's hash digest, so its last 8
-        # bytes are uniform -- exactly what the hash index wants.
-        return int.from_bytes(sort_key[-8:], "big")
+        # A uniform 64-bit slice of the fingerprint's hash digest, taken
+        # from its middle, not its end.  The digest's last bytes are the low
+        # bits of ``routing_id``, and the cell-ID is exactly those low bits
+        # (Eq. 7): every record a leaf stores shares them with the leaf, so
+        # keys cut from them all land on one home slot and every lookup
+        # walks the whole store.  Digest bytes 4..11 sit above any cell-ID.
+        return int.from_bytes(sort_key[-16:-8], "big")
 
     # -- reads -----------------------------------------------------------------
 
@@ -853,16 +860,28 @@ class PagedWalRecordStore(RecordStore):
     def __len__(self) -> int:
         return len(self._index)
 
+    def _live_records(self, sort_key: bytes) -> Iterator[SaladRecord]:
+        """Live records whose sort key equals *sort_key*, in probe order."""
+        for offset in self._index.lookup(self._key64(sort_key)):
+            record = self._record_at(offset)
+            if record.sort_key() == sort_key:
+                yield record
+
     def __contains__(self, fingerprint: Fingerprint) -> bool:
-        return bool(self._live_matches(fingerprint.to_bytes()))
+        return next(self._live_records(fingerprint.to_bytes()), None) is not None
 
     def locations(self, fingerprint: Fingerprint) -> Set[int]:
-        matches = self._live_matches(fingerprint.to_bytes())
-        return {record.location for _, record in matches}
+        return {record.location for record in self._live_records(fingerprint.to_bytes())}
 
     def has_location(self, fingerprint: Fingerprint, location: int) -> bool:
-        matches = self._live_matches(fingerprint.to_bytes())
-        return any(record.location == location for _, record in matches)
+        # Location first: it is one int compare, and it rejects every other
+        # copy of the fingerprint without building a sort key.
+        sort_key = fingerprint.to_bytes()
+        for offset in self._index.lookup(self._key64(sort_key)):
+            record = self._record_at(offset)
+            if record.location == location and record.sort_key() == sort_key:
+                return True
+        return False
 
     def records(self) -> Iterator[SaladRecord]:
         everything = [

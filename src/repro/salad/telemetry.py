@@ -30,7 +30,7 @@ def harvest_salad_metrics(
     """
     registry.gauge("salad.config.dimensions").set(dimensions)
 
-    hits = misses = scans = width_changes = width_recalcs = 0
+    hits = misses = scans = width_changes = width_recalcs = dead_ends = 0
     arrivals = hops = notifications = 0
     envelopes = envelope_records = 0
     stored = evictions = rejections = 0
@@ -49,6 +49,7 @@ def harvest_salad_metrics(
         scans += leaf.survivor_scans
         width_changes += leaf.width_changes
         width_recalcs += leaf.width_recalcs
+        dead_ends += leaf.join_dead_ends
         arrivals += leaf.record_arrivals
         hops += leaf.record_hops
         # Notifications *delivered*: the recipient's matches list is already
@@ -83,6 +84,7 @@ def harvest_salad_metrics(
     registry.counter("salad.routing.survivor_scans").inc(scans)
     registry.counter("salad.width.changes").inc(width_changes)
     registry.counter("salad.width.recalcs").inc(width_recalcs)
+    registry.counter("salad.join.dead_ends").inc(dead_ends)
     registry.counter("salad.records.arrivals").inc(arrivals)
     registry.counter("salad.records.hops").inc(hops)
     registry.counter("salad.records.stored").inc(stored)

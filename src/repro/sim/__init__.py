@@ -5,7 +5,8 @@ The paper evaluates the DFC subsystem "via large-scale simulation" on 585 to
 
 - :mod:`repro.sim.events` -- deterministic discrete-event scheduler.
 - :mod:`repro.sim.network` -- message-passing network with per-machine
-  sent/received counters, latency, loss, and failure awareness.
+  sent/received counters, latency, loss, and failure awareness (flat, or
+  over a site/rack topology).
 - :mod:`repro.sim.machine` -- base class for simulated machines.
 - :mod:`repro.sim.failure` -- failure injection (Fig. 8 and churn).
 - :mod:`repro.sim.metrics` -- counters, CDFs, coefficient of variation.
@@ -15,7 +16,7 @@ The paper evaluates the DFC subsystem "via large-scale simulation" on 585 to
 from repro.sim.events import EventScheduler
 from repro.sim.machine import SimMachine
 from repro.sim.metrics import Cdf, coefficient_of_variation
-from repro.sim.network import Message, Network
+from repro.sim.network import Message, Network, TopologyNetwork
 from repro.sim.rng import SeedSequence
 
 __all__ = [
@@ -25,5 +26,6 @@ __all__ = [
     "Network",
     "SeedSequence",
     "SimMachine",
+    "TopologyNetwork",
     "coefficient_of_variation",
 ]

@@ -1,31 +1,27 @@
-"""Deterministic discrete-event schedulers.
+"""Deterministic discrete-event scheduler.
 
-Two interchangeable engines with one contract: events are ordered by
-virtual time with FIFO tie-breaking, so runs are exactly reproducible.
-Actions scheduled at the same timestamp execute in scheduling order, which
-is what makes the SALAD protocols (where a leaf may send several messages
-"simultaneously") deterministic.
+Events are ordered by virtual time with FIFO tie-breaking, so runs are
+exactly reproducible.  Actions scheduled at the same timestamp execute in
+scheduling order, which is what makes the SALAD protocols (where a leaf may
+send several messages "simultaneously") deterministic.
 
-- :class:`EventScheduler` -- the default engine, a *calendar queue*: events
-  land in per-timestamp FIFO buckets and a small heap orders only the
-  distinct timestamps.  Simulated networks produce thousands of events per
-  timestep (every message sent at time t delivers at t + latency), so the
-  per-event cost collapses to a dict lookup and a list append instead of a
-  heap push/pop with record comparisons.  Event records are plain 3-slot
-  lists, not dataclasses, keeping allocation light on the hot path.
+:class:`EventScheduler` is a *calendar queue*: events land in per-timestamp
+FIFO buckets and a small heap orders only the distinct timestamps.
+Simulated networks produce thousands of events per timestep (every message
+sent at time t delivers at t + latency), so the per-event cost collapses to
+a dict lookup and a list append instead of a heap push/pop with record
+comparisons.  Event records are plain 3-slot lists, not dataclasses,
+keeping allocation light on the hot path.
 
-- :class:`ReferenceEventScheduler` -- the seed's binary-heap engine, kept
-  in-tree as the behavioral oracle.  ``tests/sim/test_events.py`` runs the
-  full contract suite against both engines, and the golden-trace tests
-  assert that whole SALAD workloads produce identical message traces under
-  either one.
+The seed's binary-heap engine is the test oracle
+``tests/oracles/events.py``: ``tests/sim/test_events.py`` runs the full
+contract suite against both engines, and the golden-trace tests assert that
+whole SALAD workloads produce identical message traces under either one.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 Action = Callable[[], None]
@@ -192,105 +188,3 @@ class EventScheduler:
     def _has_pending_before(self, time: float) -> bool:
         bucket = self._front()
         return bucket is not None and bucket.entries[bucket.cursor][_TIME] <= time
-
-
-@dataclass(order=True)
-class _Event:
-    time: float
-    sequence: int
-    action: Action = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
-class _ReferenceEventHandle:
-    """Handle returned by :meth:`ReferenceEventScheduler.schedule`."""
-
-    def __init__(self, event: _Event):
-        self._event = event
-
-    def cancel(self) -> None:
-        self._event.cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-
-class ReferenceEventScheduler:
-    """The seed's priority-queue event loop, kept as the oracle engine.
-
-    One ``(time, sequence, action)`` record per event on a single binary
-    heap.  Semantically identical to :class:`EventScheduler`; roughly 2-4x
-    slower on message-heavy workloads because every event pays a heap
-    push/pop with record comparisons.
-    """
-
-    def __init__(self) -> None:
-        self._queue: List[_Event] = []
-        self._sequence = itertools.count()
-        self.now: float = 0.0
-        self.events_executed = 0
-
-    def schedule(self, delay: float, action: Action) -> _ReferenceEventHandle:
-        """Schedule *action* to run *delay* time units from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event = _Event(time=self.now + delay, sequence=next(self._sequence), action=action)
-        heapq.heappush(self._queue, event)
-        return _ReferenceEventHandle(event)
-
-    def schedule_at(self, time: float, action: Action) -> _ReferenceEventHandle:
-        """Schedule *action* at absolute virtual *time*."""
-        return self.schedule(time - self.now, action)
-
-    def __len__(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)
-
-    def step(self) -> bool:
-        """Execute the next pending event; return False if none remain."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self.now = event.time
-            event.action()
-            self.events_executed += 1
-            return True
-        return False
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        """Run until quiescence, virtual time *until*, or *max_events*.
-
-        Returns the number of events executed by this call.
-        """
-        executed = 0
-        while self._queue:
-            next_event = self._peek()
-            if next_event is None:
-                break
-            if until is not None and next_event.time > until:
-                break
-            if max_events is not None and executed >= max_events:
-                break
-            self.step()
-            executed += 1
-        if until is not None and self.now < until and not self._has_pending_before(until):
-            self.now = until
-        return executed
-
-    def _peek(self) -> Optional[_Event]:
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0] if self._queue else None
-
-    def _has_pending_before(self, time: float) -> bool:
-        event = self._peek()
-        return event is not None and event.time <= time

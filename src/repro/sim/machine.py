@@ -68,11 +68,12 @@ class SimMachine:
     def receive(self, message: Message) -> None:
         if not self.alive:
             return
-        handler = self._handlers.get(message.kind)
-        if handler is None:
+        try:
+            handler = self._handlers[message.kind]
+        except KeyError:
             raise UnknownMessageError(
                 f"machine {self.identifier:#x} has no handler for {message.kind!r}"
-            )
+            ) from None
         handler(message)
 
     # -- introspection -------------------------------------------------------

@@ -31,7 +31,7 @@ class Message:
     identifiers (large integers, per paper section 2).
 
     A plain slots dataclass rather than a frozen one: one Message is built
-    per send on the simulator's hottest path, and the frozen guard turns
+    per delivery on the simulator's hottest path, and the frozen guard turns
     every field assignment in ``__init__`` into an ``object.__setattr__``
     call.  Nothing compares or hashes messages (``eq=False`` keeps default
     identity semantics explicit).
@@ -59,67 +59,53 @@ class MachineTraffic:
         return self.sent + self.received
 
 
+def _bump(counters: Dict[str, int], key: str) -> None:
+    counters[key] = counters.get(key, 0) + 1
+
+
 class Network:
-    """The simulated network fabric.
+    """The simulated network fabric: one latency between every pair.
 
     Machines register under their identifier; :meth:`send` schedules delivery
-    after a (possibly jittered) latency.  A message to an unknown, failed, or
+    ``latency`` time units later.  A message to an unknown, failed, or
     departed machine is counted as sent and then dropped.
 
-    With a *topology* (:class:`repro.sim.topology.Topology`), the global
-    latency is replaced by the per-pair link-class delay (rack/lan/wan
-    ticks of the topology quantum), delivery windows are keyed by integer
-    tick, per-class message counters are maintained, and named links can be
-    severed with :meth:`cut`/:meth:`heal` in addition to the flat
-    ``partition()`` labels.  Without a topology every code path below is
-    byte-for-byte the flat fabric, and the degenerate one-site topology
-    (``topology.one_site(latency)``) reproduces its traces bit-identically.
+    Messages sharing a delivery timestamp are queued on one scheduler event
+    per timestep and delivered in send order when that timestep fires.
+    Relative delivery order among messages is exactly that of one event per
+    message (time, then send order); the only observable difference is
+    against non-message events a driver schedules *between* sends at the
+    very same timestamp, which SALAD workloads never do (drivers schedule
+    between quiescent rounds).  ``tests/oracles/network.py`` keeps the
+    one-event-per-message fabric as the oracle the golden traces compare
+    against.
 
-    With *batch_delivery* (the default), messages sharing a delivery
-    timestamp are queued on one scheduler event per timestep instead of one
-    closure-carrying event each, and delivered in send order when that
-    timestep fires.  Relative delivery order among messages is exactly that
-    of per-message scheduling (time, then send order), so traces and
-    counters are unchanged; the only observable difference is against
-    non-message events a driver schedules *between* sends at the very same
-    timestamp, which SALAD workloads never do (drivers schedule between
-    quiescent rounds).  ``batch_delivery=False`` restores the seed's
-    one-event-per-message behavior for oracle comparisons.
+    :class:`TopologyNetwork` replaces the single latency with per-pair
+    link-class delays; the degenerate one-site topology
+    (``topology.one_site(latency)``) reproduces this fabric's traces
+    bit-identically.
     """
+
+    #: No link classes on the flat fabric (see :class:`TopologyNetwork`).
+    topology: Optional[Topology] = None
 
     def __init__(
         self,
         scheduler: Optional[EventScheduler] = None,
         latency: float = 1.0,
-        jitter: float = 0.0,
         loss_probability: float = 0.0,
         rng: Optional[random.Random] = None,
-        batch_delivery: bool = True,
-        topology: Optional[Topology] = None,
     ):
         if not 0.0 <= loss_probability <= 1.0:
             raise ValueError(f"loss probability must be in [0,1]: {loss_probability}")
-        if topology is not None and jitter:
-            # Jitter was flat-fabric noise; with a topology the latency
-            # classes carry the heterogeneity, and sub-quantum jitter would
-            # break the integer-tick delivery windows that keep batches
-            # exact.
-            raise ValueError("jitter is not supported with a topology")
         self.scheduler = scheduler or EventScheduler()
         self.latency = latency
-        self.jitter = jitter
         self.loss_probability = loss_probability
-        self.batch_delivery = batch_delivery
-        self.topology = topology
-        self._rng = rng or random.Random(0)
-        # Loss draws get their own substream, seeded once from the main rng.
-        # Sharing one stream would let turning on loss_probability perturb
-        # every subsequent jitter draw (and hence every delivery timestamp),
-        # making traces with and without loss incomparable.  The single
-        # getrandbits here is the only coupling between the two streams, and
-        # it is consumed unconditionally, so the jitter sequence is the same
-        # whether or not loss is ever enabled.
-        self._loss_rng = random.Random(self._rng.getrandbits(64))
+        # Loss draws come from their own stream, seeded by one draw from
+        # *rng* whether or not loss is ever enabled, so a caller's stream
+        # advances identically with and without loss, and the loss pattern
+        # depends only on *rng*'s state at construction.
+        self._loss_rng = random.Random((rng or random.Random(0)).getrandbits(64))
         self._machines: Dict[int, "SimMachine"] = {}
         #: Every identifier that was ever registered; partition() warns on
         #: labels for identifiers outside this set (usually a typo'd id).
@@ -128,24 +114,17 @@ class Network:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
-        #: Per-link-class message counters (topology mode only), keyed by
-        #: class name ("rack"/"lan"/"wan") -- the raw data behind the
-        #: fig_topology per-class load measurements.
+        #: Per-link-class message counters keyed by class name
+        #: ("rack"/"lan"/"wan"); only :class:`TopologyNetwork` fills them.
         self.class_sent: Dict[str, int] = {}
         self.class_delivered: Dict[str, int] = {}
         self.class_dropped: Dict[str, int] = {}
-        #: In-flight messages per delivery window.  Keys are float
-        #: timestamps on the flat fabric (seed behavior, kept bit-identical)
-        #: and *integer ticks* in topology mode: with heterogeneous per-link
-        #: delays, accumulated float timestamps can drift by ulps and split
-        #: one logical window into two batches, while tick ids are exact.
-        self._pending: Dict[Any, List[Message]] = {}
-        #: The integer tick of the batch currently being delivered
-        #: (topology mode), so handler re-sends window off an exact integer
-        #: instead of re-deriving it from the float clock.
-        self._current_tick: Optional[int] = None
-        #: Named topology links currently severed (see cut/heal).
-        self._severed: Set[str] = set()
+        #: In-flight messages per delivery window, keyed by float timestamp.
+        #: Each window is one flat list of ``sender, recipient, kind,
+        #: payload`` runs; the Message is built at delivery.  Windows hold
+        #: thousands of messages, and objects kept alive that long would
+        #: drive the garbage collector into extra full passes.
+        self._pending: Dict[Any, list] = {}
         # Post-window work (see defer_post_window): callbacks queued while a
         # delivery batch is draining, run once the whole batch has been
         # delivered.  Only populated by machines that opt into deferral.
@@ -206,45 +185,19 @@ class Network:
                 self._partition_of[identifier] = label
 
     def heal_partition(self) -> None:
-        """Restore full connectivity (clears labels and topology cuts)."""
+        """Restore full connectivity (clears the partition labels)."""
         self._partition_of = {}
-        self._severed.clear()
 
     def _partitioned(self, a: int, b: int) -> bool:
         return self._partition_of.get(a) != self._partition_of.get(b)
 
-    # -- topology cuts -------------------------------------------------------
-
     def cut(self, *links: str) -> None:
-        """Sever named topology links; messages crossing them are dropped.
-
-        Cuts compose: each call adds to the severed set, and :meth:`heal`
-        restores links independently -- unlike the flat ``partition()`` map,
-        which is replaced wholesale per call.  Like partitions, cuts are
-        re-checked at delivery time, so a cut that forms while a message is
-        in flight severs it.
-        """
-        if self.topology is None:
-            raise ValueError("cut() requires a Network with a topology")
-        self.topology.validate_links(links)
-        self._severed.update(links)
-
-    def heal(self, *links: str) -> None:
-        """Heal named links severed by :meth:`cut` (no args: heal all cuts)."""
-        if not links:
-            self._severed.clear()
-            return
-        self._severed.difference_update(links)
-
-    def severed_links(self) -> Set[str]:
-        """The currently severed link names (a copy)."""
-        return set(self._severed)
+        """Sever named topology links (:class:`TopologyNetwork` only)."""
+        raise ValueError("cut() requires a Network with a topology")
 
     # -- traffic -------------------------------------------------------------
 
     def _traffic(self, identifier: int) -> MachineTraffic:
-        # Hot path: avoid constructing a throwaway MachineTraffic per call
-        # (setdefault evaluates its default eagerly).
         traffic = self.traffic.get(identifier)
         if traffic is None:
             traffic = self.traffic[identifier] = MachineTraffic()
@@ -252,92 +205,37 @@ class Network:
 
     def send(self, sender: int, recipient: int, kind: str, payload: Any) -> None:
         """Send a message; delivery is scheduled on the event loop."""
-        traffic = self.traffic.get(sender)
-        if traffic is None:
+        # Subscripts in try blocks, not dict.get: a miss happens once per
+        # machine or kind, and this runs once per message.
+        try:
+            traffic = self.traffic[sender]
+        except KeyError:
             traffic = self.traffic[sender] = MachineTraffic()
         traffic.sent += 1
-        traffic.by_kind_sent[kind] = traffic.by_kind_sent.get(kind, 0) + 1
+        by_kind = traffic.by_kind_sent
+        try:
+            by_kind[kind] += 1
+        except KeyError:
+            by_kind[kind] = 1
         self.messages_sent += 1
-
-        # One jitter draw and one loss draw per send, in a fixed order and
-        # from independent streams, *before* any drop decision.  A dropped
-        # message (partition cut or loss) therefore consumes exactly the
-        # same randomness as a delivered one, so the delivery timestamps of
-        # the surviving messages are identical across runs that differ only
-        # in loss/partition/cut settings.
-        topology = self.topology
-        if topology is not None:
-            link_name, link_class = topology.link(sender, recipient)
-            class_name = link_class.name
-            self.class_sent[class_name] = self.class_sent.get(class_name, 0) + 1
-        delay = self.latency
-        if self.jitter:
-            delay += self._rng.random() * self.jitter
-        lost = bool(
-            self.loss_probability
-            and self._loss_rng.random() < self.loss_probability
-        )
-
+        # The loss draw comes before any drop decision, so a message that a
+        # partition drops consumes the same randomness as a delivered one:
+        # the survivors of runs that differ only in loss or partition
+        # settings are pinned.
         if (
-            lost
-            or (self._partition_of and self._partitioned(sender, recipient))
-            or (topology is not None and self._severed and link_name in self._severed)
-        ):
+            self.loss_probability and self._loss_rng.random() < self.loss_probability
+        ) or (self._partition_of and self._partitioned(sender, recipient)):
             traffic.dropped_to += 1
             self.messages_dropped += 1
-            if topology is not None:
-                self.class_dropped[class_name] = (
-                    self.class_dropped.get(class_name, 0) + 1
-                )
             return
-        # Built only for surviving messages: a dropped send never needs the
-        # object, and this runs once per send on the simulator's hottest path.
-        message = Message(sender=sender, recipient=recipient, kind=kind, payload=payload)
-        if topology is not None:
-            # Topology mode: the delivery window is an integer tick and the
-            # timestamp a single multiplication off it, so equal nominal
-            # delays always share a batch regardless of how many float
-            # additions produced "now".
-            due = self._now_tick() + link_class.latency_ticks
-            if self.batch_delivery:
-                pending = self._pending.get(due)
-                if pending is None:
-                    self._pending[due] = [message]
-                    self.scheduler.schedule_at(
-                        due * topology.quantum, lambda: self._deliver_pending(due)
-                    )
-                else:
-                    pending.append(message)
-            else:
-                self.scheduler.schedule_at(
-                    due * topology.quantum, lambda: self._deliver(message)
-                )
-        elif self.batch_delivery:
-            # One scheduler event per delivery timestep: queue the message
-            # on its timestamp's batch; the first message of a timestep
-            # schedules the flush.  FIFO within the batch preserves send
-            # order, so delivery order matches per-message scheduling.
-            time = self.scheduler.now + delay
-            pending = self._pending.get(time)
-            if pending is None:
-                self._pending[time] = [message]
-                self.scheduler.schedule(delay, lambda: self._deliver_pending(time))
-            else:
-                pending.append(message)
-        else:
-            self.scheduler.schedule(delay, lambda: self._deliver(message))
-
-    def _now_tick(self) -> int:
-        """The current integer tick of the topology quantum clock.
-
-        Exact while a delivery batch is draining (the batch key *is* the
-        tick); between batches -- driver sends from quiescence -- the float
-        clock is a tick multiple by construction, so rounding recovers the
-        integer exactly.
-        """
-        if self._current_tick is not None:
-            return self._current_tick
-        return round(self.scheduler.now / self.topology.quantum)
+        # The first message of a timestep schedules the flush; FIFO within
+        # the batch preserves send order.
+        time = self.scheduler.now + self.latency
+        try:
+            self._pending[time].extend((sender, recipient, kind, payload))
+        except KeyError:
+            self._pending[time] = [sender, recipient, kind, payload]
+            self.scheduler.schedule(self.latency, lambda: self._deliver_pending(time))
 
     def defer_post_window(self, callback: Any) -> bool:
         """Queue *callback* to run after the current delivery batch drains.
@@ -355,66 +253,183 @@ class Network:
         self._post_window.append(callback)
         return True
 
-    def _deliver_pending(self, time: Any) -> None:
-        if self.topology is not None:
-            self._current_tick = time  # batch keys are integer ticks
+    def _deliver_pending(self, time: float) -> None:
+        """Deliver one timestep's batch, then run the deferred callbacks.
+
+        Liveness and partitions are re-checked at delivery time: a machine
+        that crashes, or a partition that forms, while a message is in
+        flight drops it.
+        """
+        machines = self._machines
+        traffic_of = self.traffic
         self._delivering = True
         try:
-            for message in self._pending.pop(time):
-                self._deliver(message)
+            fields = iter(self._pending.pop(time))
+            for sender, recipient, kind, payload in zip(fields, fields, fields, fields):
+                machine = machines.get(recipient)
+                if (
+                    machine is None
+                    or not machine.alive
+                    or (self._partition_of and self._partitioned(sender, recipient))
+                ):
+                    self._traffic(sender).dropped_to += 1
+                    self.messages_dropped += 1
+                    continue
+                # A registered machine always has a traffic entry.
+                traffic = traffic_of[recipient]
+                traffic.received += 1
+                by_kind = traffic.by_kind_received
+                try:
+                    by_kind[kind] += 1
+                except KeyError:
+                    by_kind[kind] = 1
+                self.messages_delivered += 1
+                machine.receive(Message(sender, recipient, kind, payload))
         finally:
             self._delivering = False
+        self._run_post_window()
+
+    def _run_post_window(self) -> None:
         if self._post_window:
             callbacks, self._post_window = self._post_window, []
-            try:
-                for callback in callbacks:
-                    callback()
-            finally:
-                self._current_tick = None
-        else:
-            self._current_tick = None
-
-    def _deliver(self, message: Message) -> None:
-        # Partition membership is re-checked at delivery time, mirroring the
-        # machine.alive check below: a partition that forms while a message
-        # is in flight severs it, exactly as a machine that crashes while a
-        # message is in flight drops it.  (Send-time checking alone would
-        # deliver messages across a cut that formed mid-settle.)
-        topology = self.topology
-        if topology is not None:
-            link_name, link_class = topology.link(message.sender, message.recipient)
-            class_name = link_class.name
-        machine = self._machines.get(message.recipient)
-        if (
-            machine is None
-            or not machine.alive
-            or (
-                self._partition_of
-                and self._partitioned(message.sender, message.recipient)
-            )
-            or (topology is not None and self._severed and link_name in self._severed)
-        ):
-            self._traffic(message.sender).dropped_to += 1
-            self.messages_dropped += 1
-            if topology is not None:
-                self.class_dropped[class_name] = (
-                    self.class_dropped.get(class_name, 0) + 1
-                )
-            return
-        traffic = self.traffic.get(message.recipient)
-        if traffic is None:
-            traffic = self.traffic[message.recipient] = MachineTraffic()
-        traffic.received += 1
-        traffic.by_kind_received[message.kind] = (
-            traffic.by_kind_received.get(message.kind, 0) + 1
-        )
-        self.messages_delivered += 1
-        if topology is not None:
-            self.class_delivered[class_name] = (
-                self.class_delivered.get(class_name, 0) + 1
-            )
-        machine.receive(message)
+            for callback in callbacks:
+                callback()
 
     def run(self, **kwargs: Any) -> int:
         """Drain the event loop (delegates to the scheduler)."""
         return self.scheduler.run(**kwargs)
+
+
+class TopologyNetwork(Network):
+    """The fabric over a :class:`repro.sim.topology.Topology`.
+
+    The flat latency is replaced by the per-pair link-class delay (rack/lan/
+    wan ticks of the topology quantum), delivery windows are keyed by
+    integer tick, per-class message counters are kept, and named links can
+    be severed with :meth:`cut`/:meth:`heal` in addition to the flat
+    ``partition()`` labels.
+    """
+
+    def __init__(
+        self,
+        scheduler: Optional[EventScheduler],
+        topology: Topology,
+        loss_probability: float = 0.0,
+        rng: Optional[random.Random] = None,
+    ):
+        super().__init__(scheduler, topology.quantum, loss_probability, rng)
+        self.topology = topology
+        #: Windows here are keyed by integer tick and hold Message objects.
+        #: The integer tick of the batch currently being delivered, so
+        #: handler re-sends window off an exact integer instead of
+        #: re-deriving it from the float clock.
+        self._current_tick: Optional[int] = None
+        #: Named topology links currently severed (see cut/heal).
+        self._severed: Set[str] = set()
+
+    def heal_partition(self) -> None:
+        """Restore full connectivity (clears labels and topology cuts)."""
+        super().heal_partition()
+        self._severed.clear()
+
+    def cut(self, *links: str) -> None:
+        """Sever named topology links; messages crossing them are dropped.
+
+        Cuts compose: each call adds to the severed set, and :meth:`heal`
+        restores links independently -- unlike the flat ``partition()`` map,
+        which is replaced wholesale per call.  Like partitions, cuts are
+        re-checked at delivery time, so a cut that forms while a message is
+        in flight severs it.
+        """
+        self.topology.validate_links(links)
+        self._severed.update(links)
+
+    def heal(self, *links: str) -> None:
+        """Heal named links severed by :meth:`cut` (no args: heal all cuts)."""
+        if not links:
+            self._severed.clear()
+            return
+        self._severed.difference_update(links)
+
+    def severed_links(self) -> Set[str]:
+        """The currently severed link names (a copy)."""
+        return set(self._severed)
+
+    def _link(self, sender: int, recipient: int):
+        """The pair's link class name and delay, and whether the link is cut."""
+        link_name, link_class = self.topology.link(sender, recipient)
+        return link_class.name, link_class.latency_ticks, link_name in self._severed
+
+    def _drop(self, sender: int, class_name: str) -> None:
+        self._traffic(sender).dropped_to += 1
+        self.messages_dropped += 1
+        _bump(self.class_dropped, class_name)
+
+    def send(self, sender: int, recipient: int, kind: str, payload: Any) -> None:
+        class_name, ticks, severed = self._link(sender, recipient)
+        _bump(self.class_sent, class_name)
+        traffic = self._traffic(sender)
+        traffic.sent += 1
+        _bump(traffic.by_kind_sent, kind)
+        self.messages_sent += 1
+        # Same draw-before-drop order as the flat fabric.
+        lost = bool(
+            self.loss_probability and self._loss_rng.random() < self.loss_probability
+        )
+        if lost or severed or (self._partition_of and self._partitioned(sender, recipient)):
+            self._drop(sender, class_name)
+            return
+        # The delivery window is an integer tick and the timestamp a single
+        # multiplication off it, so equal nominal delays always share a
+        # batch regardless of how many float additions produced "now".
+        due = self._now_tick() + ticks
+        message = Message(sender, recipient, kind, payload)
+        pending = self._pending.get(due)
+        if pending is None:
+            self._pending[due] = [message]
+            self.scheduler.schedule_at(
+                due * self.topology.quantum, lambda: self._deliver_pending(due)
+            )
+        else:
+            pending.append(message)
+
+    def _now_tick(self) -> int:
+        """The current integer tick of the topology quantum clock.
+
+        Exact while a delivery batch is draining (the batch key *is* the
+        tick); between batches -- driver sends from quiescence -- the float
+        clock is a tick multiple by construction, so rounding recovers the
+        integer exactly.
+        """
+        if self._current_tick is not None:
+            return self._current_tick
+        return round(self.scheduler.now / self.topology.quantum)
+
+    def _deliver_pending(self, tick: int) -> None:
+        self._current_tick = tick
+        self._delivering = True
+        try:
+            for message in self._pending.pop(tick):
+                sender, recipient = message.sender, message.recipient
+                class_name, _, severed = self._link(sender, recipient)
+                machine = self._machines.get(recipient)
+                if (
+                    machine is None
+                    or not machine.alive
+                    or severed
+                    or (self._partition_of and self._partitioned(sender, recipient))
+                ):
+                    self._drop(sender, class_name)
+                    continue
+                traffic = self._traffic(recipient)
+                traffic.received += 1
+                _bump(traffic.by_kind_received, message.kind)
+                self.messages_delivered += 1
+                _bump(self.class_delivered, class_name)
+                machine.receive(message)
+            self._delivering = False
+            self._run_post_window()
+        finally:
+            self._delivering = False
+            self._current_tick = None
+

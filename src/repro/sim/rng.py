@@ -1,7 +1,7 @@
 """Deterministic, stream-split randomness for simulations.
 
 Every stochastic component (workload generation, identifier assignment,
-failure injection, message jitter) draws from its own named stream derived
+failure injection, message loss) draws from its own named stream derived
 from one master seed, so adding randomness to one component never perturbs
 another -- a standard requirement for credible systems simulation.
 """

@@ -132,3 +132,66 @@ class TestIndexConsistency:
                 leaf.remove_leaf(identifier)
         expected = (len(leaf.leaf_table) + 1) / known_leaf_ratio(leaf.width, 2)
         assert abs(leaf.estimated_system_size - expected) < 1e-9
+
+
+def reference_index(leaf: SaladLeaf):
+    """The index as one _index_add per table entry would build it."""
+    leaf._cellmates = set()
+    leaf._vectors = {d: {} for d in range(leaf.dimensions)}
+    leaf._next_width_dropped = set()
+    leaf._next_width_survivors = 0
+    for identifier in leaf.leaf_table:
+        leaf._index_add(identifier)
+    return snapshot(leaf)
+
+
+def snapshot(leaf: SaladLeaf):
+    """Index state with iteration orders: routing sends follow set order."""
+    return (
+        list(leaf._cellmates),
+        {d: [(k, list(v)) for k, v in by_key.items()] for d, by_key in leaf._vectors.items()},
+        list(leaf._next_width_dropped),
+        leaf._next_width_survivors,
+    )
+
+
+class TestOnePassRebuild:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=(1 << 24)), max_size=80),
+        st.integers(min_value=0, max_value=10),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_rebuild_matches_per_entry_adds(self, identifiers, width, dimensions):
+        leaf = SaladLeaf(0x5A5A5A, Network(EventScheduler()), dimensions=dimensions)
+        for identifier in identifiers:
+            leaf.leaf_table.setdefault(identifier, 0.0)
+        leaf.width = width
+        leaf._rebuild_index()
+        rebuilt = snapshot(leaf)
+        # Entries not vector-aligned at this width stay out of the index,
+        # exactly as _index_add refuses them.
+        assert rebuilt == reference_index(leaf)
+
+    @settings(max_examples=40, deadline=None)
+    @given(operations, st.integers(min_value=0, max_value=10))
+    def test_remove_finds_the_bucket_by_masks(self, ops, width):
+        # Removal locates the entry's one bucket by mask arithmetic; every
+        # other bucket must be left untouched.
+        leaf = SaladLeaf(0x123456, Network(EventScheduler()), dimensions=2)
+        leaf.width = width
+        leaf._rebuild_index()
+        for op, identifier in ops:
+            if op == "add" or not leaf.leaf_table:
+                leaf.add_leaf(identifier, recalculate=False)
+            else:
+                table = list(leaf.leaf_table)
+                identifier = table[identifier % len(table)]
+                before = snapshot(leaf)
+                leaf.remove_leaf(identifier, recalculate=False)
+                after = snapshot(leaf)
+                assert identifier not in after[0]
+                for d in range(2):
+                    for (key, old), (_, new) in zip(before[1][d], after[1][d]):
+                        assert new == [i for i in old if i != identifier]
+            check_index(leaf)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.sim.events import EventScheduler
 from repro.sim.machine import SimMachine
-from repro.sim.network import Network
+from repro.sim.network import Network, TopologyNetwork
 from repro.sim.topology import Topology, one_site
 
 MACHINES = 6
@@ -60,13 +60,12 @@ def run_script(fabric, sends, loss, partition, cut_wan):
     """Deliver the scripted sends; return the (timestamp, seq) delivery log."""
     topology = FABRICS[fabric]()
     scheduler = EventScheduler()
-    net = Network(
-        scheduler,
-        latency=1.0,
-        loss_probability=loss,
-        rng=random.Random(99),
-        topology=topology,
-    )
+    if topology is None:
+        net = Network(scheduler, latency=1.0, loss_probability=loss, rng=random.Random(99))
+    else:
+        net = TopologyNetwork(
+            scheduler, topology, loss_probability=loss, rng=random.Random(99)
+        )
     log = []
     machines = [Recorder(100 + i, net, log) for i in range(MACHINES)]
     if partition:

@@ -17,9 +17,11 @@ import pytest
 from repro.core.fingerprint import Fingerprint
 from repro.salad.records import SaladRecord
 from repro.salad.salad import Salad, SaladConfig
-from repro.sim.events import EventScheduler, ReferenceEventScheduler
+from repro.sim.events import EventScheduler
 from repro.sim.network import Network
 from repro.sim.tracer import NetworkTracer
+from tests.oracles.events import ReferenceEventScheduler
+from tests.oracles.network import PerMessageNetwork
 
 LEAVES = 40
 RECORDS_PER_LEAF = 15
@@ -31,11 +33,9 @@ def _run_workload(sched_cls, batch_delivery, reference_routing, churn=False):
     config = SaladConfig(
         dimensions=2, seed=11, reference_routing=reference_routing
     )
-    network = Network(
-        scheduler=sched_cls(),
-        latency=config.latency,
-        rng=random.Random(123),
-        batch_delivery=batch_delivery,
+    network_cls = Network if batch_delivery else PerMessageNetwork
+    network = network_cls(
+        scheduler=sched_cls(), latency=config.latency, rng=random.Random(123)
     )
     salad = Salad(config, network=network)
     tracer = NetworkTracer(network)

@@ -99,3 +99,50 @@ class TestJoinTraffic:
         salad.network.run()
         for leaf in salad.alive_leaves():
             assert not leaf.knows(victim_id)
+
+
+class TestJoinDeadEnds:
+    """``salad.join.dead_ends`` against an independent recount.
+
+    A dead end is a join this leaf processes, whose Fig. 5 branch says to
+    forward (the sender is less aligned with the new leaf than this leaf,
+    or more aligned and this leaf is not cell-aligned), but that reaches
+    no leaf: the table holds nobody in the needed direction.  The recount
+    takes alignment from the definitional Eq. 10 coordinates and counts the
+    JOIN messages the leaf actually sent while handling the delivery.
+    """
+
+    def test_counter_matches_recount(self, monkeypatch):
+        from repro.obs.registry import MetricsRegistry
+        from repro.salad.alignment import mismatching_dimensions_reference
+        from repro.salad.leaf import SaladLeaf
+
+        recount = 0
+        handle = SaladLeaf._on_join
+
+        def recounting(leaf, message):
+            nonlocal recount
+            s, n = message.payload.sender, message.payload.new_leaf
+            fresh = n != leaf.identifier and n not in leaf._seen_joins
+
+            def delta(a, b):
+                return len(
+                    mismatching_dimensions_reference(a, b, leaf.width, leaf.dimensions)
+                )
+
+            mine = delta(leaf.identifier, n)
+            senders = -1 if s == n else delta(s, n)
+            should_forward = senders < mine or (senders > mine and mine > 0)
+            sent = leaf.traffic.by_kind_sent.get("join", 0)
+            handle(leaf, message)
+            if fresh and should_forward and leaf.traffic.by_kind_sent.get("join", 0) == sent:
+                recount += 1
+
+        monkeypatch.setattr(SaladLeaf, "_on_join", recounting)
+        salad = Salad(SaladConfig(dimensions=2, seed=1))
+        salad.build(256)
+        counted = salad.collect_metrics(MetricsRegistry()).counter_value(
+            "salad.join.dead_ends"
+        )
+        assert recount > 0  # the seed exercises the case
+        assert counted == recount

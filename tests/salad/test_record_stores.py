@@ -8,13 +8,14 @@ durable backends additionally pin reopen-after-close, crash (unflushed tail
 lost, flushed records kept), and WAL torn-tail recovery.
 """
 
+import hashlib
 import random
 import struct
 import zlib
 
 import pytest
 
-from repro.core.fingerprint import synthetic_fingerprint
+from repro.core.fingerprint import Fingerprint, synthetic_fingerprint
 from repro.salad.records import SaladRecord
 from repro.salad.storage import (
     BACKENDS,
@@ -461,6 +462,62 @@ class TestPagedWalRecovery:
                 live[key] = r
         assert list(store.records()) == [live[k] for k in sorted(live)]
         store.close()
+
+
+class TestPagedIndexOneCell:
+    """Every record a leaf stores shares the leaf's cell-ID bits.
+
+    The cell-ID is the low bits of the fingerprint digest (Eq. 7), so an
+    index key cut from those bytes gives a leaf's whole store one home
+    slot, and every lookup walks all of it.  These records share their low
+    16 digest bits, as one leaf's records do.
+    """
+
+    N = 1000
+
+    @staticmethod
+    def one_cell_fingerprints(n, seed=16):
+        rng = random.Random(seed)
+        return [
+            Fingerprint(
+                size=1 + rng.randrange(1 << 20),
+                content_digest=rng.randbytes(18) + b"\xbe\xef",
+            )
+            for _ in range(n)
+        ]
+
+    def _fill(self, tmp_path):
+        store = PagedWalRecordStore(tmp_path / "one-cell.wal")
+        fingerprints = self.one_cell_fingerprints(self.N)
+        for i, fingerprint in enumerate(fingerprints):
+            store.insert(SaladRecord(fingerprint=fingerprint, location=1 + i % 3))
+        return store, fingerprints
+
+    def test_lookup_probes_stay_short(self, tmp_path):
+        store, fingerprints = self._fill(tmp_path)
+        before = store._index.probes
+        for i, fingerprint in enumerate(fingerprints):
+            assert store.has_location(fingerprint, 1 + i % 3)
+        # A present key's lookup walks to the end of its probe cluster: ~4
+        # slots at this load on uniform keys, ~N/2 with one shared home slot.
+        assert (store._index.probes - before) / self.N <= 6.0
+        store.close()
+
+    def test_replay_and_compaction_logs_are_pinned(self, tmp_path):
+        # SHA-256 prefixes of the log bytes, recorded before the index key
+        # moved off the cell-ID bits: the on-disk format does not depend on
+        # the in-memory index.
+        store, _ = self._fill(tmp_path)
+        store.remove_location(2)
+        store.close()
+        path = tmp_path / "one-cell.wal"
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == "59503ae2585d0031"
+        reopened = PagedWalRecordStore(path)
+        assert reopened.recovered_records == len(reopened) == 667
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == "59503ae2585d0031"
+        reopened.compact()
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == "182a12e99ac77c1f"
+        assert len(reopened) == 667
 
 
 class TestSqliteIndexing:

@@ -8,7 +8,8 @@ cases target bucket/heap interactions specific to the calendar engine.
 
 import pytest
 
-from repro.sim.events import EventScheduler, ReferenceEventScheduler, SimulationError
+from repro.sim.events import EventScheduler, SimulationError
+from tests.oracles.events import ReferenceEventScheduler
 
 
 @pytest.fixture(params=[EventScheduler, ReferenceEventScheduler])

@@ -7,6 +7,7 @@ import pytest
 from repro.sim.events import EventScheduler
 from repro.sim.machine import SimMachine
 from repro.sim.network import Network
+from tests.oracles.network import PerMessageNetwork
 
 
 class Echo(SimMachine):
@@ -127,19 +128,16 @@ class TestLoss:
 
 
 class TestLossSubstream:
-    """Loss draws come from a dedicated substream, and both the jitter and
-    loss draws happen before any drop decision, so the delivery timestamps
-    of surviving messages are pinned: identical across runs that differ
-    only in loss probability or partition layout.  (With a shared stream,
-    enabling loss shifted every subsequent jitter draw, making lossy and
-    lossless traces incomparable.)"""
+    """Loss draws come from a dedicated substream, drawn before any drop
+    decision, so the delivery timestamps of surviving messages are pinned:
+    identical across runs that differ only in loss probability or partition
+    layout."""
 
     @staticmethod
     def _delivery_times(loss=0.0, partition=None):
         net = Network(
             EventScheduler(),
             latency=1.0,
-            jitter=0.5,
             loss_probability=loss,
             rng=random.Random(7),
         )
@@ -156,8 +154,14 @@ class TestLossSubstream:
         Stamp(1, net), Stamp(2, net), Stamp(3, net)
         if partition:
             net.partition(partition)
+
+        def launch(i):
+            return lambda: net.send(1, 2 if i % 2 else 3, "tag", i)
+
+        # Sends spread over 50 timesteps, so surviving tags carry distinct
+        # delivery times worth pinning.
         for i in range(200):
-            net.send(1, 2 if i % 2 else 3, "tag", i)
+            net.scheduler.schedule(i // 4 * 0.5, launch(i))
         net.run()
         return received
 
@@ -173,18 +177,17 @@ class TestLossSubstream:
         assert sorted(cut) == [tag for tag in sorted(connected) if tag % 2]
         assert all(connected[tag] == time for tag, time in cut.items())
 
-    def test_loss_seed_independent_of_jitter_consumption(self):
-        # Same main rng seed, jitter on vs. off: the loss pattern (which
-        # tags die) must be identical, because loss never reads the main
-        # stream after construction.
-        def survivors(jitter):
+    def test_loss_seed_independent_of_main_stream_consumption(self):
+        # The network takes one draw from the caller's rng, at construction:
+        # what the caller draws afterwards cannot change which tags die, and
+        # the caller's stream advances by exactly that one draw.
+        def survivors(draws_after):
+            rng = random.Random(7)
             net = Network(
-                EventScheduler(),
-                latency=1.0,
-                jitter=jitter,
-                loss_probability=0.4,
-                rng=random.Random(7),
+                EventScheduler(), latency=1.0, loss_probability=0.4, rng=rng
             )
+            for _ in range(draws_after):
+                rng.random()
             log = []
 
             class Sink(SimMachine):
@@ -198,7 +201,12 @@ class TestLossSubstream:
             net.run()
             return sorted(log)
 
-        assert survivors(0.0) == survivors(0.5)
+        assert survivors(0) == survivors(50)
+        rng = random.Random(7)
+        Network(EventScheduler(), rng=rng)
+        expected = random.Random(7)
+        expected.getrandbits(64)
+        assert rng.random() == expected.random()
 
 
 class TestRegistration:
@@ -214,12 +222,8 @@ class TestDeliveryBatching:
 
     def test_batched_and_unbatched_deliver_identically(self):
         def drive(batch):
-            net = Network(
-                EventScheduler(),
-                latency=1.0,
-                rng=random.Random(1),
-                batch_delivery=batch,
-            )
+            network_cls = Network if batch else PerMessageNetwork
+            net = network_cls(EventScheduler(), latency=1.0, rng=random.Random(1))
             a, b, c = Echo(1, net), Echo(2, net), Echo(3, net)
             a.send(2, "ping")
             a.send(3, "ping")
@@ -238,17 +242,6 @@ class TestDeliveryBatching:
         assert len(net.scheduler) == 1
         net.run()
         assert len(b.log) == 10
-
-    def test_jitter_splits_timesteps(self):
-        net = Network(
-            EventScheduler(), latency=1.0, jitter=0.5, rng=random.Random(1)
-        )
-        Echo(1, net)
-        b = Echo(2, net)
-        for _ in range(5):
-            net.send(1, 2, "ping", None)
-        net.run()
-        assert len(b.log) == 5
 
     def test_batch_send_order_preserved(self):
         net = Network(EventScheduler(), latency=1.0, rng=random.Random(1))

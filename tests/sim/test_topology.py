@@ -18,7 +18,7 @@ from repro.salad.records import SaladRecord
 from repro.salad.salad import Salad, SaladConfig
 from repro.sim.events import EventScheduler
 from repro.sim.machine import SimMachine
-from repro.sim.network import Network
+from repro.sim.network import Network, TopologyNetwork
 from repro.sim.topology import (
     LinkClass,
     Topology,
@@ -195,7 +195,7 @@ class TestParse:
 
 
 def topo_net(topo, **kwargs):
-    return Network(EventScheduler(), rng=random.Random(1), topology=topo, **kwargs)
+    return TopologyNetwork(EventScheduler(), topo, rng=random.Random(1), **kwargs)
 
 
 def pick_pair(topo, wanted):
@@ -208,10 +208,6 @@ def pick_pair(topo, wanted):
 
 
 class TestNetworkTopology:
-    def test_jitter_rejected_with_topology(self):
-        with pytest.raises(ValueError, match="jitter"):
-            Network(EventScheduler(), jitter=0.5, topology=one_site())
-
     def test_per_pair_delay_from_link_class(self):
         topo = Topology(sites=2, racks_per_site=1, rack_ticks=1, wan_ticks=10)
         net = topo_net(topo)
