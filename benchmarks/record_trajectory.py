@@ -30,8 +30,7 @@ current fast paths so every snapshot carries its own before/after ratio:
   records/sec to quiescence plus the topology observables (quiescence
   ticks, per-class message split, cut losses, hot-cell stress);
 - ``db_backends``: insert/lookup throughput per record-store backend
-  (memory vs sqlite vs WAL vs the paging WAL), contract-identity asserted
-  before timing;
+  (memory vs the paging WAL), contract-identity asserted before timing;
 - ``experiment_sweep``: wall seconds for a small threshold sweep, serial vs
   ``--workers 0``, with the consumed-space series asserted identical (the
   speedup only materializes on multi-core machines; ``cpu_count`` is
@@ -465,11 +464,12 @@ def bench_experiment_sweep() -> dict:
 
 
 def bench_db_backends(records: int = 5000, lookups: int = 1000) -> dict:
-    """Insert/lookup throughput per record-store backend.
+    """Insert/lookup throughput of the two record-store backends.
 
-    The durable backends trade throughput for a bounded RSS and crash
+    wal-paged trades throughput against memory for a bounded RSS and crash
     recovery; this section records the price so the trade stays visible.
-    Results are asserted contract-identical before timing.
+    Informational, with no regression gate.  Results are asserted
+    contract-identical before timing.
     """
     import tempfile
 

@@ -42,10 +42,10 @@ class DfcConfig:
     #: per-item function -- so this knob never changes any reported number,
     #: only wall time.
     workers: Optional[int] = None
-    #: Record-store backend per leaf ("memory" | "sqlite" | "wal"; None =
-    #: session default, see repro.salad.storage).  The durable backends keep
-    #: the 10M-record full-scale corpus out of RAM and survive crashes; all
-    #: three are contract-identical, so reported numbers never change.
+    #: Record-store backend per leaf ("memory" | "wal-paged"; None =
+    #: session default, see repro.salad.storage).  The durable backend keeps
+    #: the 10M-record full-scale corpus out of RAM and survives crashes; the
+    #: two are contract-identical, so reported numbers never change.
     db_backend: Optional[str] = None
     #: Directory for durable record stores (None = session default/tempdir).
     db_dir: Optional[str] = None

@@ -262,8 +262,8 @@ def main(argv: List[str] = None) -> int:
         "--db-backend",
         choices=sorted(BACKENDS),
         default="memory",
-        help="record-store backend per leaf (memory = all-RAM; sqlite/wal "
-        "spill to disk with crash recovery; results are identical)",
+        help="record-store backend per leaf (memory = all-RAM; wal-paged "
+        "spills to disk with crash recovery; results are identical)",
     )
     parser.add_argument(
         "--db-dir",

@@ -16,7 +16,7 @@ Module map:
 - :mod:`repro.salad.database` -- per-leaf in-memory record store with the
   Fig. 13 size-limit eviction policy.
 - :mod:`repro.salad.storage` -- the RecordStore backend contract plus the
-  durable sqlite and append-log (WAL) implementations with crash recovery.
+  durable paged append-log (WAL) implementation with crash recovery.
 - :mod:`repro.salad.leaf` -- the leaf state machine (leaf table, record
   insertion per Fig. 4, join handling per Fig. 5, width recalc per Fig. 6).
 - :mod:`repro.salad.width` -- the Fig. 6 cell-ID width procedure.
@@ -38,18 +38,16 @@ from repro.salad.leaf import SaladLeaf
 from repro.salad.records import SaladRecord
 from repro.salad.salad import Salad, SaladConfig
 from repro.salad.storage import (
+    PagedWalRecordStore,
     RecordStore,
-    SqliteRecordStore,
-    WalRecordStore,
     make_record_store,
     set_default_db_backend,
 )
 
 __all__ = [
     "RecordDatabase",
+    "PagedWalRecordStore",
     "RecordStore",
-    "SqliteRecordStore",
-    "WalRecordStore",
     "make_record_store",
     "set_default_db_backend",
     "Salad",

@@ -98,8 +98,8 @@ class SaladLeaf(SimMachine):
         self.dimensions = dimensions
         self.damping = damping
         self.width = 0
-        # Any repro.salad.storage.RecordStore works here (the memory, sqlite,
-        # and WAL backends are contract-identical); callers that don't pass
+        # Any repro.salad.storage.RecordStore works here (the memory and
+        # wal-paged backends are contract-identical); callers that don't pass
         # one get the in-memory default.
         self.database = (
             database

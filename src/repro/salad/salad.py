@@ -179,11 +179,11 @@ class SaladConfig:
     #: WELCOMEs a joining leaf accepts -- so it is opt-in; the flagship run
     #: turns it on.
     deferred_width_recalc: bool = False
-    #: Record-database backend per leaf: "memory" (default), "sqlite", or
-    #: "wal" (see repro.salad.storage).  None defers to the session default
-    #: set by set_default_db_backend (the CLI --db-backend hook).  All three
-    #: are contract-identical; the durable two trade insert speed for a
-    #: bounded memory footprint and crash recovery.
+    #: Record-database backend per leaf: "memory" (default) or "wal-paged"
+    #: (see repro.salad.storage).  None defers to the session default set
+    #: by set_default_db_backend (the CLI --db-backend hook).  Both are
+    #: contract-identical; wal-paged trades insert speed for a bounded
+    #: memory footprint and crash recovery.
     db_backend: Optional[str] = None
     #: Directory durable backends write under (each Salad instance gets its
     #: own subdirectory so repeated runs never reopen each other's files).

@@ -1,41 +1,32 @@
-"""Pluggable record-store backends for the SALAD leaf databases.
+"""Record-store backends for the SALAD leaf databases.
 
 The paper's full-scale deployment implies on the order of 10M
 ``(fingerprint, location)`` records spread across the leaf databases
 (section 5); holding them all in RAM is what blocks a laptop-scale
 full-corpus run.  This module extracts the :class:`RecordStore` contract
-that :class:`repro.salad.database.RecordDatabase` (the in-memory store)
-already implements and adds two durable backends:
+that :class:`repro.salad.database.RecordDatabase` (the in-memory store,
+``memory``) already implements and adds one durable backend:
 
-- :class:`SqliteRecordStore` -- records live in a single-file sqlite3
-  database whose ``WITHOUT ROWID`` primary key ``(sort_key, location)`` *is*
-  the covering index over the fingerprint sort order, so the Fig. 13
-  lowest-fingerprint eviction probe stays one O(log n) B-tree descent and
-  lookups by fingerprint are a prefix range scan of the same tree;
-- :class:`WalRecordStore` -- an append-only write-ahead log of state-changing
-  operations with per-entry CRC32 framing.  Replay rebuilds the in-memory
-  index; a truncated or corrupt tail (a torn write from a crash) is detected
-  by the CRC and *dropped*, never fatal.  A stale-ratio-triggered compaction
-  rewrites the log as a snapshot of the live records;
-- :class:`PagedWalRecordStore` (``wal-paged``) -- the same log format, but the
+- :class:`PagedWalRecordStore` (``wal-paged``) -- an append-only write-ahead
+  log of state-changing operations with per-entry CRC32 framing.  The
   records themselves stay on disk: memory holds only a flat open-addressed
   key->offset index (16 bytes per slot) plus a small LRU record cache, and
-  record bodies are read back from the log on demand.  This is the backend
-  that bounds a flagship-scale run's RSS: the plain WAL store keeps a full
-  :class:`~repro.salad.database.RecordDatabase` in memory and therefore
-  *tracks* the memory backend's footprint, it never beats it.
+  record bodies are read back from the log on demand.  Replay rebuilds the
+  index; a truncated or corrupt tail (a torn write from a crash) is detected
+  by the CRC and *dropped*, never fatal.  A stale-ratio-triggered compaction
+  rewrites the log as a snapshot of the live records.
 
-All three backends are observably identical for in-memory behavior: the
-shared contract suite (``tests/salad/test_record_stores.py``) runs them
-through the same associative-insert / capacity-eviction / iteration
-semantics and asserts bit-identical results.  The contract fixes two
-orderings the original in-memory store left to Python set iteration:
-duplicate matches are returned sorted by location, and :meth:`records`
-iterates in ``(sort_key, location)`` order.
+Both backends are observably identical for in-memory behavior: the shared
+contract suite (``tests/salad/test_record_stores.py``) runs them through
+the same associative-insert / capacity-eviction / iteration semantics and
+asserts bit-identical results.  The contract fixes two orderings the
+original in-memory store left to Python set iteration: duplicate matches
+are returned sorted by location, and :meth:`records` iterates in
+``(sort_key, location)`` order.
 
 Backend selection threads through :class:`repro.salad.salad.SaladConfig`
 (``db_backend`` / ``db_dir``) and the experiment CLIs (``--db-backend
-memory|sqlite|wal``, ``--db-dir``); :func:`set_default_db_backend` sets the
+memory|wal-paged``, ``--db-dir``); :func:`set_default_db_backend` sets the
 process-wide default the same way ``repro.perf.set_default_workers`` does
 for parallelism.
 
@@ -57,11 +48,11 @@ the exact live state.
 from __future__ import annotations
 
 import abc
+import atexit
 import os
-import sqlite3
+import shutil
 import struct
 import tempfile
-import time
 import zlib
 from array import array
 from bisect import insort
@@ -70,16 +61,10 @@ from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.fingerprint import FINGERPRINT_BYTES, Fingerprint
-from repro.obs.registry import Histogram
 from repro.salad.records import SaladRecord
 
 #: Known backend names, in documentation order.
-BACKENDS = ("memory", "sqlite", "wal", "wal-paged")
-
-#: Fixed-width big-endian location encoding for sqlite: lexicographic blob
-#: order equals numeric order, so ``ORDER BY location`` is the numeric sort
-#: the match-order contract requires.  32 bytes covers 160-bit machine ids.
-_LOCATION_BYTES = 32
+BACKENDS = ("memory", "wal-paged")
 
 WAL_MAGIC = b"SALADWAL1\n"
 _OP_INSERT = 0x01
@@ -165,442 +150,6 @@ class RecordStore(abc.ABC):
     def pending_records(self) -> int:
         """Stored records that would be lost if the process crashed now."""
         return len(self)
-
-
-def _encode_location(location: int) -> bytes:
-    return location.to_bytes(_LOCATION_BYTES, "big")
-
-
-def _decode_location(blob: bytes) -> int:
-    return int.from_bytes(blob, "big")
-
-
-class SqliteRecordStore(RecordStore):
-    """Records in a single-file sqlite3 database (stdlib, no extra deps).
-
-    Schema::
-
-        CREATE TABLE records (
-            sort_key BLOB NOT NULL,    -- fingerprint.to_bytes(): size || hash
-            location BLOB NOT NULL,    -- 32-byte big-endian machine id
-            PRIMARY KEY (sort_key, location)
-        ) WITHOUT ROWID
-
-    The primary key doubles as the covering index over the fingerprint sort
-    order: the Fig. 13 eviction probe (``ORDER BY sort_key, location LIMIT
-    1``) and fingerprint lookups (prefix range scans) both resolve inside
-    one B-tree, so inserts stay O(log n) under heavy eviction churn.  A
-    secondary index on ``location`` keeps machine departures
-    (:meth:`remove_location`) from scanning the whole table.
-
-    Writes batch into transactions committed every ``commit_every``
-    operations (and on :meth:`flush` / :meth:`close`); a crash loses at most
-    the uncommitted tail, which :attr:`pending_records` reports.
-    """
-
-    def __init__(
-        self,
-        path: os.PathLike,
-        capacity: Optional[int] = None,
-        commit_every: int = 256,
-    ):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be positive if set: {capacity}")
-        if commit_every < 1:
-            raise ValueError(f"commit_every must be positive: {commit_every}")
-        self.capacity = capacity
-        self.path = Path(path)
-        self.evictions = 0
-        self.rejections = 0
-        self._commit_every = commit_every
-        self._uncommitted = 0
-        self._pending = 0  # net stored-record delta not yet committed
-        # Telemetry (harvested by repro.salad.telemetry): commits are rare
-        # (every commit_every mutations), so timing them is off-hot-path.
-        self.flushes = 0
-        self.flush_seconds = Histogram()
-        self._conn = sqlite3.connect(self.path)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS records ("
-            " sort_key BLOB NOT NULL,"
-            " location BLOB NOT NULL,"
-            " PRIMARY KEY (sort_key, location)"
-            ") WITHOUT ROWID"
-        )
-        self._conn.execute(
-            "CREATE INDEX IF NOT EXISTS records_by_location ON records(location)"
-        )
-        self._conn.commit()
-        self._count = self._conn.execute("SELECT COUNT(*) FROM records").fetchone()[0]
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __contains__(self, fingerprint: Fingerprint) -> bool:
-        row = self._conn.execute(
-            "SELECT 1 FROM records WHERE sort_key = ? LIMIT 1",
-            (fingerprint.to_bytes(),),
-        ).fetchone()
-        return row is not None
-
-    def locations(self, fingerprint: Fingerprint) -> Set[int]:
-        rows = self._conn.execute(
-            "SELECT location FROM records WHERE sort_key = ?",
-            (fingerprint.to_bytes(),),
-        )
-        return {_decode_location(row[0]) for row in rows}
-
-    def has_location(self, fingerprint: Fingerprint, location: int) -> bool:
-        row = self._conn.execute(
-            "SELECT 1 FROM records WHERE sort_key = ? AND location = ?",
-            (fingerprint.to_bytes(), _encode_location(location)),
-        ).fetchone()
-        return row is not None
-
-    def records(self) -> Iterator[SaladRecord]:
-        rows = self._conn.execute(
-            "SELECT sort_key, location FROM records ORDER BY sort_key, location"
-        )
-        for sort_key, location in rows:
-            yield SaladRecord(
-                fingerprint=Fingerprint.from_bytes(sort_key),
-                location=_decode_location(location),
-            )
-
-    def _matches(self, record: SaladRecord) -> List[SaladRecord]:
-        rows = self._conn.execute(
-            "SELECT location FROM records WHERE sort_key = ? ORDER BY location",
-            (record.sort_key(),),
-        )
-        return [
-            SaladRecord(fingerprint=record.fingerprint, location=_decode_location(row[0]))
-            for row in rows
-        ]
-
-    def insert(self, record: SaladRecord) -> Tuple[bool, List[SaladRecord]]:
-        matches = self._matches(record)
-        if any(m.location == record.location for m in matches):
-            return False, matches
-        key = record.sort_key()
-        if self.capacity is not None and self._count >= self.capacity:
-            lowest = self._conn.execute(
-                "SELECT sort_key, location FROM records"
-                " ORDER BY sort_key, location LIMIT 1"
-            ).fetchone()
-            if lowest is None or key <= lowest[0]:
-                self.rejections += 1
-                return False, matches
-            self._conn.execute(
-                "DELETE FROM records WHERE sort_key = ? AND location = ?", lowest
-            )
-            self._count -= 1
-            self.evictions += 1
-            self._mutated()
-        self._conn.execute(
-            "INSERT INTO records (sort_key, location) VALUES (?, ?)",
-            (key, _encode_location(record.location)),
-        )
-        self._count += 1
-        self._pending += 1
-        self._mutated()
-        return True, matches
-
-    def insert_many(
-        self, records: Iterable[SaladRecord]
-    ) -> List[Tuple[SaladRecord, bool, List[SaladRecord]]]:
-        results = [(record, *self.insert(record)) for record in records]
-        self.flush()  # batch boundary: commit the whole batch
-        return results
-
-    def remove_location(self, location: int) -> int:
-        cursor = self._conn.execute(
-            "DELETE FROM records WHERE location = ?", (_encode_location(location),)
-        )
-        removed = cursor.rowcount
-        if removed:
-            self._count -= removed
-            self._mutated()
-        return removed
-
-    def _mutated(self) -> None:
-        self._uncommitted += 1
-        if self._uncommitted >= self._commit_every:
-            self.flush()
-
-    def flush(self) -> None:
-        start = time.perf_counter()
-        self._conn.commit()
-        self.flush_seconds.observe(time.perf_counter() - start)
-        self.flushes += 1
-        self._uncommitted = 0
-        self._pending = 0
-
-    def close(self) -> None:
-        self.flush()
-        self._conn.close()
-
-    def crash(self) -> None:
-        # Roll back the open transaction: exactly what a process crash does
-        # to uncommitted sqlite writes.
-        self._conn.rollback()
-        self._conn.close()
-
-    @property
-    def pending_records(self) -> int:
-        return min(self._pending, self._count)
-
-
-class WalRecordStore(RecordStore):
-    """An append-log (write-ahead) store with crash recovery and compaction.
-
-    Live state is an in-memory :class:`~repro.salad.database.RecordDatabase`
-    (so every read and the capacity policy are exactly the memory backend);
-    every *state-changing* operation is additionally framed and appended to
-    the log.  Reopening an existing log replays it to rebuild the state;
-    entries whose CRC fails or that are truncated mid-frame -- the torn tail
-    of a crash -- are dropped and the file is trimmed to the last valid
-    entry, never treated as fatal (:attr:`torn_bytes_dropped` reports how
-    much was discarded, :attr:`recovered_records` how many live records the
-    replay restored).
-
-    Appends buffer in memory and reach the file every ``sync_every`` logged
-    operations, at every batch boundary (:meth:`insert_many`), and on
-    :meth:`flush` / :meth:`close`; a crash loses at most the buffered tail.
-
-    Compaction: removals and evictions strand stale entries in the log.
-    When the log holds more than ``compact_ratio`` entries per live record
-    (checked after each logged operation, with a floor to leave small logs
-    alone), the log is rewritten as a snapshot -- one INSERT per live record
-    in ``(sort_key, location)`` order -- via an atomic temp-file replace.
-    """
-
-    _COMPACT_FLOOR = 1024
-
-    def __init__(
-        self,
-        path: os.PathLike,
-        capacity: Optional[int] = None,
-        sync_every: int = 64,
-        compact_ratio: float = 4.0,
-    ):
-        if sync_every < 1:
-            raise ValueError(f"sync_every must be positive: {sync_every}")
-        if compact_ratio < 1.0:
-            raise ValueError(f"compact_ratio must be at least 1: {compact_ratio}")
-        from repro.salad.database import RecordDatabase
-
-        self.path = Path(path)
-        self._mem = RecordDatabase(capacity=capacity)
-        self._sync_every = sync_every
-        self._compact_ratio = compact_ratio
-        self._buffer = bytearray()
-        self._buffered_ops = 0
-        self._log_ops = 0  # entries in the on-disk log plus the buffer
-        self.recovered_records = 0
-        self.torn_bytes_dropped = 0
-        # Telemetry (harvested by repro.salad.telemetry).
-        self.compactions = 0
-        self.sync_writes = 0
-        if self.path.exists() and self.path.stat().st_size > 0:
-            self._replay()
-            # Replay re-runs the capacity policy; its eviction/rejection
-            # outcomes belong to the previous session, not this one.
-            self._mem.evictions = 0
-            self._mem.rejections = 0
-        else:
-            self.path.write_bytes(WAL_MAGIC)
-        self._fh = open(self.path, "ab", buffering=0)  # unbuffered appends
-        self.recovered_records = len(self._mem)
-
-    # -- delegated reads (the memory store is the live state) -----------------
-
-    capacity = property(lambda self: self._mem.capacity)
-    evictions = property(lambda self: self._mem.evictions)
-    rejections = property(lambda self: self._mem.rejections)
-
-    def __len__(self) -> int:
-        return len(self._mem)
-
-    def __contains__(self, fingerprint: Fingerprint) -> bool:
-        return fingerprint in self._mem
-
-    def locations(self, fingerprint: Fingerprint) -> Set[int]:
-        return self._mem.locations(fingerprint)
-
-    def has_location(self, fingerprint: Fingerprint, location: int) -> bool:
-        return self._mem.has_location(fingerprint, location)
-
-    def records(self) -> Iterator[SaladRecord]:
-        return self._mem.records()
-
-    # -- log framing -----------------------------------------------------------
-
-    @staticmethod
-    def _frame(op: int, payload: bytes) -> bytes:
-        head = _HEADER.pack(op, len(payload))
-        return head + payload + _CRC.pack(zlib.crc32(head + payload))
-
-    @staticmethod
-    def _insert_payload(record: SaladRecord) -> bytes:
-        loc = record.location.to_bytes(
-            max(1, (record.location.bit_length() + 7) // 8), "big"
-        )
-        return record.sort_key() + struct.pack(">H", len(loc)) + loc
-
-    @staticmethod
-    def _remove_payload(location: int) -> bytes:
-        loc = location.to_bytes(max(1, (location.bit_length() + 7) // 8), "big")
-        return struct.pack(">H", len(loc)) + loc
-
-    def _append(self, op: int, payload: bytes) -> None:
-        self._buffer += self._frame(op, payload)
-        self._buffered_ops += 1
-        self._log_ops += 1
-        if self._buffered_ops >= self._sync_every:
-            self._write_out()
-        self._maybe_compact()
-
-    def _write_out(self) -> None:
-        if self._buffer:
-            self._fh.write(bytes(self._buffer))
-            self._buffer.clear()
-            self.sync_writes += 1
-        self._buffered_ops = 0
-
-    # -- mutations -------------------------------------------------------------
-
-    def insert(self, record: SaladRecord) -> Tuple[bool, List[SaladRecord]]:
-        stored, matches = self._mem.insert(record)
-        if stored:
-            # Evictions need no log entry of their own: replaying the stored
-            # inserts through the same capacity policy re-derives them.
-            self._append(_OP_INSERT, self._insert_payload(record))
-        return stored, matches
-
-    def insert_many(
-        self, records: Iterable[SaladRecord]
-    ) -> List[Tuple[SaladRecord, bool, List[SaladRecord]]]:
-        results = [(record, *self.insert(record)) for record in records]
-        self._write_out()  # batch boundary: make the whole batch durable
-        return results
-
-    def remove_location(self, location: int) -> int:
-        removed = self._mem.remove_location(location)
-        if removed:
-            self._append(_OP_REMOVE_LOCATION, self._remove_payload(location))
-        return removed
-
-    # -- replay & recovery -----------------------------------------------------
-
-    def _replay(self) -> None:
-        data = self.path.read_bytes()
-        if not data.startswith(WAL_MAGIC):
-            # Foreign or garbage file: treat the whole thing as a torn tail.
-            self.torn_bytes_dropped = len(data)
-            self.path.write_bytes(WAL_MAGIC)
-            return
-        offset = len(WAL_MAGIC)
-        valid_end = offset
-        while offset < len(data):
-            if offset + _HEADER.size > len(data):
-                break  # truncated header
-            op, length = _HEADER.unpack_from(data, offset)
-            frame_end = offset + _HEADER.size + length + _CRC.size
-            if frame_end > len(data):
-                break  # truncated payload/CRC
-            payload = data[offset + _HEADER.size : offset + _HEADER.size + length]
-            (crc,) = _CRC.unpack_from(data, offset + _HEADER.size + length)
-            if crc != zlib.crc32(data[offset : offset + _HEADER.size + length]):
-                break  # corrupt entry: drop it and everything after
-            if not self._apply(op, payload):
-                break  # unparseable payload: same treatment as a bad CRC
-            offset = frame_end
-            valid_end = frame_end
-            self._log_ops += 1
-        self.torn_bytes_dropped = len(data) - valid_end
-        if self.torn_bytes_dropped:
-            with open(self.path, "r+b") as fh:
-                fh.truncate(valid_end)
-
-    def _apply(self, op: int, payload: bytes) -> bool:
-        try:
-            if op == _OP_INSERT:
-                key = payload[:FINGERPRINT_BYTES]
-                (loc_len,) = struct.unpack_from(">H", payload, FINGERPRINT_BYTES)
-                loc_bytes = payload[FINGERPRINT_BYTES + 2 :]
-                if len(key) != FINGERPRINT_BYTES or len(loc_bytes) != loc_len:
-                    return False
-                self._mem.insert(
-                    SaladRecord(
-                        fingerprint=Fingerprint.from_bytes(key),
-                        location=int.from_bytes(loc_bytes, "big"),
-                    )
-                )
-            elif op == _OP_REMOVE_LOCATION:
-                (loc_len,) = struct.unpack_from(">H", payload, 0)
-                loc_bytes = payload[2:]
-                if len(loc_bytes) != loc_len:
-                    return False
-                self._mem.remove_location(int.from_bytes(loc_bytes, "big"))
-            else:
-                return False
-        except (ValueError, struct.error):
-            return False
-        return True
-
-    # -- compaction ------------------------------------------------------------
-
-    @property
-    def log_ops(self) -> int:
-        """Entries currently in the log (disk plus buffer)."""
-        return self._log_ops
-
-    def _maybe_compact(self) -> None:
-        if self._log_ops <= self._COMPACT_FLOOR:
-            return
-        if self._log_ops <= self._compact_ratio * max(1, len(self._mem)):
-            return
-        self.compact()
-
-    def compact(self) -> None:
-        """Rewrite the log as a snapshot of the live records (atomic)."""
-        tmp = self.path.with_suffix(self.path.suffix + ".compact")
-        with open(tmp, "wb") as fh:
-            fh.write(WAL_MAGIC)
-            count = 0
-            for record in self._mem.records():
-                fh.write(self._frame(_OP_INSERT, self._insert_payload(record)))
-                count += 1
-            fh.flush()
-            os.fsync(fh.fileno())
-        self._fh.close()
-        os.replace(tmp, self.path)
-        self._fh = open(self.path, "ab", buffering=0)
-        self._buffer.clear()
-        self._buffered_ops = 0
-        self._log_ops = count
-        self.compactions += 1
-
-    # -- durability ------------------------------------------------------------
-
-    def flush(self) -> None:
-        self._write_out()
-
-    def close(self) -> None:
-        self._write_out()
-        self._fh.close()
-
-    def crash(self) -> None:
-        # Abandon the buffered tail: those operations never reached the file.
-        self._buffer.clear()
-        self._buffered_ops = 0
-        self._fh.close()
-
-    @property
-    def pending_records(self) -> int:
-        return min(self._buffered_ops, len(self._mem))
 
 
 class _OffsetIndex:
@@ -704,11 +253,12 @@ class _OffsetIndex:
 
 
 class PagedWalRecordStore(RecordStore):
-    """The WAL with paging: records live in the log, not in memory.
+    """An append-log (write-ahead) store whose records live in the log.
 
-    Same on-disk format as :class:`WalRecordStore` (the two classes open
-    each other's files), but instead of mirroring the log into a full
-    in-memory :class:`~repro.salad.database.RecordDatabase`, memory holds:
+    Every *state-changing* operation is framed and appended to the log
+    (the WAL format in the module docstring).  Instead of mirroring the log
+    into a full in-memory :class:`~repro.salad.database.RecordDatabase`,
+    memory holds:
 
     - a :class:`_OffsetIndex` mapping a 64-bit slice of each record's sort
       key to the offset of its INSERT frame (~16-32 bytes per record at the
@@ -727,10 +277,25 @@ class PagedWalRecordStore(RecordStore):
     operations -- a flagship-scale run opens one store per leaf (10^5 of
     them), which would exhaust the fd table if each pinned one.
 
-    Compaction rewrites the log as a live snapshot exactly like the plain
-    WAL, then *remaps* every index entry to its new offset and drops the
-    (offset-keyed) cache.  Recovery semantics are identical: CRC-framed
-    replay, torn tails trimmed, capacity policy re-run.
+    Appends buffer in memory and reach the file every ``sync_every`` logged
+    operations, at every batch boundary (:meth:`insert_many`), and on
+    :meth:`flush` / :meth:`close`; a crash loses at most the buffered tail.
+    The file itself is created by the first write-out (or compaction), so a
+    store that never wrote anything leaves no file and reopens empty.
+
+    Reopening an existing log replays it to rebuild the index; entries
+    whose CRC fails or that are truncated mid-frame -- the torn tail of a
+    crash -- are dropped and the file is trimmed to the last valid entry,
+    never treated as fatal (:attr:`torn_bytes_dropped` reports how much was
+    discarded, :attr:`recovered_records` how many live records the replay
+    restored).
+
+    Compaction: removals and evictions strand stale entries in the log.
+    When the log holds more than ``compact_ratio`` entries per live record
+    (checked after each logged operation, with a floor to leave small logs
+    alone), the log is rewritten as a snapshot -- one INSERT per live record
+    in ``(sort_key, location)`` order -- via an atomic temp-file replace,
+    and every index entry is *remapped* to its new offset.
     """
 
     _COMPACT_FLOOR = 1024
@@ -768,6 +333,9 @@ class PagedWalRecordStore(RecordStore):
         self._buffered_ops = 0
         self._file_end = len(WAL_MAGIC)  # logical offsets >= this are buffered
         self._log_ops = 0
+        # Whether the file holds a valid log; until then the next write-out
+        # (re)creates it, magic first.
+        self._on_disk = False
         # Replay-time window into the whole file, so recovery reads need no
         # per-record file opens; None outside __init__.
         self._replay_data: Optional[bytes] = None
@@ -784,8 +352,6 @@ class PagedWalRecordStore(RecordStore):
             # outcomes belong to the previous session, not this one.
             self.evictions = 0
             self.rejections = 0
-        else:
-            self.path.write_bytes(WAL_MAGIC)
         self.recovered_records = len(self._index)
 
     @staticmethod
@@ -898,13 +464,8 @@ class PagedWalRecordStore(RecordStore):
         matches = [rec for _, rec in self._live_matches(sort_key)]
         if any(m.location == record.location for m in matches):
             return False, matches
-        if self.capacity is not None and len(self._index) >= self.capacity:
-            lowest = self._sorted[0] if self._sorted else None
-            if lowest is None or sort_key <= lowest[0]:
-                self.rejections += 1
-                return False, matches
-            self._evict(*lowest)
-            self.evictions += 1
+        if self.capacity is not None and not self._make_room(sort_key):
+            return False, matches
         offset = self._file_end + len(self._buffer)
         self._append(_OP_INSERT, self._insert_payload(record))
         self._index.add(self._key64(sort_key), offset)
@@ -921,23 +482,39 @@ class PagedWalRecordStore(RecordStore):
         self._write_out()  # batch boundary: make the whole batch durable
         return results
 
-    def _evict(self, sort_key: bytes, location: int) -> None:
-        """Drop the record (known live) with this exact key and location.
+    def _make_room(self, sort_key: bytes) -> bool:
+        """The Fig. 13 capacity policy ahead of storing *sort_key*.
 
-        Evictions write no log entry: replaying the logged inserts through
-        the same capacity policy re-derives them, exactly as in the plain
-        WAL store.
+        A full store evicts its lowest record, or rejects the newcomer
+        (returns False) when nothing stored sorts below it.  Evictions write
+        no log entry: replaying the logged inserts through this same policy
+        re-derives them.  Capacity stores only.
         """
-        for offset, record in self._live_matches(sort_key):
-            if record.location == location:
-                self._index.remove(self._key64(sort_key), offset)
+        if len(self._index) < self.capacity:
+            return True
+        if not self._sorted or sort_key <= self._sorted[0][0]:
+            self.rejections += 1
+            return False
+        low_key, low_location = self._sorted[0]
+        for offset, record in self._live_matches(low_key):
+            if record.location == low_location:
+                self._index.remove(self._key64(low_key), offset)
                 self._cache.pop(offset, None)
-                self._sorted.remove((sort_key, location))
-                return
+                del self._sorted[0]
+                self.evictions += 1
+                return True
         raise AssertionError("eviction target vanished from the index")
 
     def remove_location(self, location: int) -> int:
-        """Drop every record pointing at *location* (a departed machine).
+        """Drop every record pointing at *location* (a departed machine)."""
+        removed = self._drop_location(location)
+        if removed:
+            self._append(_OP_REMOVE_LOCATION, self._remove_payload(location))
+            self._maybe_compact()
+        return removed
+
+    def _drop_location(self, location: int) -> int:
+        """Unindex every record at *location*; returns how many.
 
         A full index scan with read-back -- the paged store keeps no
         per-location index in memory.  Departures are rare (once per machine
@@ -954,16 +531,23 @@ class PagedWalRecordStore(RecordStore):
             self._cache.pop(offset, None)
             if self._sorted is not None:
                 self._sorted.remove((record.sort_key(), location))
-        if victims:
-            self._append(_OP_REMOVE_LOCATION, self._remove_payload(location))
-            self._maybe_compact()
         return len(victims)
 
-    # -- log append (shared framing with WalRecordStore) -----------------------
+    # -- log framing & append --------------------------------------------------
 
-    _frame = staticmethod(WalRecordStore._frame)
-    _insert_payload = staticmethod(WalRecordStore._insert_payload)
-    _remove_payload = staticmethod(WalRecordStore._remove_payload)
+    @staticmethod
+    def _frame(op: int, payload: bytes) -> bytes:
+        head = _HEADER.pack(op, len(payload))
+        return head + payload + _CRC.pack(zlib.crc32(head + payload))
+
+    @classmethod
+    def _insert_payload(cls, record: SaladRecord) -> bytes:
+        return record.sort_key() + cls._remove_payload(record.location)
+
+    @staticmethod
+    def _remove_payload(location: int) -> bytes:
+        loc = location.to_bytes(max(1, (location.bit_length() + 7) // 8), "big")
+        return struct.pack(">H", len(loc)) + loc
 
     def _append(self, op: int, payload: bytes) -> None:
         self._buffer += self._frame(op, payload)
@@ -974,8 +558,10 @@ class PagedWalRecordStore(RecordStore):
 
     def _write_out(self) -> None:
         if self._buffer:
-            with open(self.path, "ab") as fh:
-                fh.write(bytes(self._buffer))
+            mode, head = ("ab", b"") if self._on_disk else ("wb", WAL_MAGIC)
+            with open(self.path, mode) as fh:
+                fh.write(head + self._buffer)
+            self._on_disk = True
             self._file_end += len(self._buffer)
             self._buffer.clear()
             self.sync_writes += 1
@@ -986,9 +572,11 @@ class PagedWalRecordStore(RecordStore):
     def _replay(self) -> None:
         data = self.path.read_bytes()
         if not data.startswith(WAL_MAGIC):
+            # Foreign or garbage file: treat the whole thing as a torn tail;
+            # the first write-out replaces it.
             self.torn_bytes_dropped = len(data)
-            self.path.write_bytes(WAL_MAGIC)
             return
+        self._on_disk = True
         self._replay_data = data
         try:
             offset = len(WAL_MAGIC)
@@ -1021,41 +609,23 @@ class PagedWalRecordStore(RecordStore):
         """Replay one frame at *offset* through the live-state policy."""
         try:
             if op == _OP_INSERT:
-                key = payload[:FINGERPRINT_BYTES]
                 (loc_len,) = struct.unpack_from(">H", payload, FINGERPRINT_BYTES)
-                loc_bytes = payload[FINGERPRINT_BYTES + 2 :]
-                if len(key) != FINGERPRINT_BYTES or len(loc_bytes) != loc_len:
+                if len(payload) != FINGERPRINT_BYTES + 2 + loc_len:
                     return False
-                record = SaladRecord(
-                    fingerprint=Fingerprint.from_bytes(key),
-                    location=int.from_bytes(loc_bytes, "big"),
-                )
+                record = self._decode_insert(payload)
                 sort_key = record.sort_key()
                 matches = self._live_matches(sort_key)
                 if any(r.location == record.location for _, r in matches):
                     return True  # idempotent replay of an odd log
-                if self.capacity is not None and len(self._index) >= self.capacity:
-                    lowest = self._sorted[0] if self._sorted else None
-                    if lowest is None or sort_key <= lowest[0]:
-                        self.rejections += 1
-                        return True
-                    self._evict(*lowest)
-                    self.evictions += 1
-                self._index.add(self._key64(sort_key), offset)
-                if self._sorted is not None:
-                    insort(self._sorted, (sort_key, record.location))
+                if self.capacity is None or self._make_room(sort_key):
+                    self._index.add(self._key64(sort_key), offset)
+                    if self._sorted is not None:
+                        insort(self._sorted, (sort_key, record.location))
             elif op == _OP_REMOVE_LOCATION:
                 (loc_len,) = struct.unpack_from(">H", payload, 0)
-                loc_bytes = payload[2:]
-                if len(loc_bytes) != loc_len:
+                if len(payload) != 2 + loc_len:
                     return False
-                location = int.from_bytes(loc_bytes, "big")
-                for key, off in list(self._index.items()):
-                    record = self._parse_insert(self._replay_data, off)
-                    if record.location == location:
-                        self._index.remove(key, off)
-                        if self._sorted is not None:
-                            self._sorted.remove((record.sort_key(), location))
+                self._drop_location(int.from_bytes(payload[2:], "big"))
             else:
                 return False
         except (ValueError, struct.error, IndexError):
@@ -1096,6 +666,7 @@ class PagedWalRecordStore(RecordStore):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
+        self._on_disk = True
         self._index = rebuilt
         self._cache.clear()  # offset-keyed: every key just moved
         self._buffer.clear()
@@ -1144,6 +715,10 @@ def set_default_db_backend(backend: str, db_dir: Optional[os.PathLike] = None) -
         raise ValueError(f"unknown db backend {backend!r}; choose from {BACKENDS}")
     _default_backend = backend
     _default_db_dir = Path(db_dir) if db_dir is not None else None
+    if backend != "memory" and db_dir is None:
+        # Make the tempdir now, so worker processes forked later share it
+        # and its exit hook; a dir a worker made itself would outlive it.
+        resolve_db_dir(None)
 
 
 def resolve_db_backend(backend: Optional[str]) -> str:
@@ -1155,8 +730,19 @@ def resolve_db_backend(backend: Optional[str]) -> str:
     return backend
 
 
+def _remove_tmp_dir(path: Path, owner_pid: int) -> None:
+    # Forked children inherit this exit hook; only the creator removes.
+    if os.getpid() == owner_pid:
+        shutil.rmtree(path, ignore_errors=True)
+
+
 def resolve_db_dir(db_dir: Optional[os.PathLike]) -> Path:
-    """The directory durable stores live in; a per-process tempdir by default."""
+    """The directory durable stores live in.
+
+    An explicit *db_dir* (or the session default) is used as given and never
+    removed.  Otherwise this is a per-process tempdir, removed at interpreter
+    exit by the process that created it.
+    """
     global _process_tmp_dir
     if db_dir is not None:
         path = Path(db_dir)
@@ -1165,6 +751,7 @@ def resolve_db_dir(db_dir: Optional[os.PathLike]) -> Path:
     else:
         if _process_tmp_dir is None:
             _process_tmp_dir = Path(tempfile.mkdtemp(prefix="salad-db-"))
+            atexit.register(_remove_tmp_dir, _process_tmp_dir, os.getpid())
         path = _process_tmp_dir
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -1179,19 +766,11 @@ def make_record_store(
     """Create (or reopen) a record store of the requested backend.
 
     *name* identifies the store within *db_dir*; reusing an existing name
-    with a durable backend reopens that store and recovers its records,
+    with the durable backend reopens that store and recovers its records,
     which is exactly what the crash-recovery harness does.
     """
-    backend = resolve_db_backend(backend)
-    if backend == "memory":
+    if resolve_db_backend(backend) == "memory":
         from repro.salad.database import RecordDatabase
 
         return RecordDatabase(capacity=capacity)
-    directory = resolve_db_dir(db_dir)
-    if backend == "sqlite":
-        return SqliteRecordStore(directory / f"{name}.sqlite", capacity=capacity)
-    if backend == "wal-paged":
-        # Same file format and extension as "wal": a log written by either
-        # class reopens under the other.
-        return PagedWalRecordStore(directory / f"{name}.wal", capacity=capacity)
-    return WalRecordStore(directory / f"{name}.wal", capacity=capacity)
+    return PagedWalRecordStore(resolve_db_dir(db_dir) / f"{name}.wal", capacity=capacity)

@@ -5,9 +5,6 @@ add each); this module turns those attributes into registry entries at
 report time (:meth:`repro.salad.salad.Salad.collect_metrics`).  A harvest
 is a snapshot of trace-driven attributes, so two runs of the same golden
 trace harvest bit-identical counter totals.
-
-Wall-clock quantities (sqlite flush latency) are histograms, never
-counters, so the counter-identity contract stays exact.
 """
 
 from __future__ import annotations
@@ -36,8 +33,7 @@ def harvest_salad_metrics(
     stored = evictions = rejections = 0
     alive = total = 0
     batch_hist = registry.histogram("salad.routing.batch_size")
-    flush_hist = registry.histogram("salad.storage.sqlite.flush_seconds")
-    flushes = compactions = sync_writes = 0
+    compactions = sync_writes = 0
     recovered = torn_bytes = log_ops = 0
     page_hits = page_misses = 0
     for leaf in leaves:
@@ -63,17 +59,12 @@ def harvest_salad_metrics(
         stored += len(db)
         evictions += db.evictions
         rejections += db.rejections
-        db_flush_hist = getattr(db, "flush_seconds", None)
-        if db_flush_hist is not None:  # sqlite backend
-            flushes += db.flushes
-            flush_hist.merge_from(db_flush_hist)
-        if getattr(db, "compactions", None) is not None:  # WAL backends
+        if db.path is not None:  # the durable (wal-paged) backend
             compactions += db.compactions
             sync_writes += db.sync_writes
             recovered += db.recovered_records
             torn_bytes += db.torn_bytes_dropped
             log_ops += db.log_ops
-        if getattr(db, "page_hits", None) is not None:  # paging WAL backend
             page_hits += db.page_hits
             page_misses += db.page_misses
 
@@ -93,7 +84,6 @@ def harvest_salad_metrics(
     registry.counter("salad.routing.envelope_records").inc(envelope_records)
     registry.counter("salad.storage.evictions").inc(evictions)
     registry.counter("salad.storage.rejections").inc(rejections)
-    registry.counter("salad.storage.sqlite.flushes").inc(flushes)
     registry.counter("salad.storage.wal.compactions").inc(compactions)
     registry.counter("salad.storage.wal.sync_writes").inc(sync_writes)
     registry.counter("salad.storage.wal.recovered_records").inc(recovered)

@@ -1,11 +1,11 @@
 """Shared contract suite for the record-store backends.
 
-Every backend -- the in-memory :class:`RecordDatabase`, the sqlite store,
-and the append-log (WAL) store -- must be observably identical for
-in-memory behavior: same associative-insert semantics, same duplicate-match
-return order, same capacity-eviction policy, same iteration order.  The
-durable backends additionally pin reopen-after-close, crash (unflushed tail
-lost, flushed records kept), and WAL torn-tail recovery.
+Both backends -- the in-memory :class:`RecordDatabase` and the paged
+append-log (WAL) store -- must be observably identical for in-memory
+behavior: same associative-insert semantics, same duplicate-match return
+order, same capacity-eviction policy, same iteration order.  The durable
+backend additionally pins reopen-after-close, crash (unflushed tail lost,
+flushed records kept), WAL torn-tail recovery, and the on-disk format.
 """
 
 import hashlib
@@ -21,8 +21,6 @@ from repro.salad.storage import (
     BACKENDS,
     WAL_MAGIC,
     PagedWalRecordStore,
-    SqliteRecordStore,
-    WalRecordStore,
     make_record_store,
 )
 
@@ -166,12 +164,24 @@ class TestBackendEquivalence:
                 store.rejections,
             )
             store.close()
-        assert (
-            outcomes["memory"]
-            == outcomes["sqlite"]
-            == outcomes["wal"]
-            == outcomes["wal-paged"]
-        )
+        assert outcomes["memory"] == outcomes["wal-paged"]
+
+
+class TestBackendNames:
+    def test_only_memory_and_wal_paged_remain(self):
+        assert BACKENDS == ("memory", "wal-paged")
+
+    @pytest.mark.parametrize("backend", ["sqlite", "wal"])
+    def test_removed_backends_are_rejected(self, backend, tmp_path, capsys):
+        import importlib
+
+        with pytest.raises(ValueError):
+            make(backend, tmp_path)
+        for cli in ("repro.experiments.runner", "repro.experiments.flagship"):
+            with pytest.raises(SystemExit) as exit_info:
+                importlib.import_module(cli).main(["--db-backend", backend])
+            assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestDurability:
@@ -212,93 +222,11 @@ class TestDurability:
         assert len(make("memory", tmp_path)) == 0
 
 
-class TestWalRecovery:
-    def _populate(self, tmp_path, n=10):
-        store = WalRecordStore(tmp_path / "t.wal")
-        for i in range(n):
-            store.insert(rec(10 + i, location=1))
-        store.close()
-        return tmp_path / "t.wal"
-
-    def test_torn_final_record_is_dropped_not_fatal(self, tmp_path):
-        path = self._populate(tmp_path)
-        intact = path.stat().st_size
-        with open(path, "ab") as fh:
-            # A truncated frame: valid header promising more payload than
-            # exists -- what a crash mid-append leaves behind.
-            fh.write(struct.pack(">BI", 0x01, 500) + b"\x00" * 12)
-        store = WalRecordStore(path)
-        assert len(store) == 10
-        assert store.recovered_records == 10
-        assert store.torn_bytes_dropped == 17
-        assert path.stat().st_size == intact  # tail trimmed off the file
-        store.close()
-
-    def test_corrupt_crc_drops_entry_and_everything_after(self, tmp_path):
-        path = self._populate(tmp_path)
-        data = bytearray(path.read_bytes())
-        data[-1] ^= 0xFF  # flip a CRC byte of the final entry
-        path.write_bytes(data)
-        store = WalRecordStore(path)
-        assert len(store) == 9
-        assert store.torn_bytes_dropped > 0
-        store.close()
-
-    def test_garbage_file_is_reset_not_fatal(self, tmp_path):
-        path = tmp_path / "t.wal"
-        path.write_bytes(b"not a wal at all")
-        store = WalRecordStore(path)
-        assert len(store) == 0
-        assert store.torn_bytes_dropped == 16
-        store.insert(rec(10, location=1))
-        store.close()
-        assert path.read_bytes().startswith(WAL_MAGIC)
-
-    def test_replay_reruns_the_capacity_policy(self, tmp_path):
-        path = tmp_path / "t.wal"
-        store = WalRecordStore(path, capacity=4)
-        for i in range(10):
-            store.insert(rec(10 + i, location=1))
-        expected = list(store.records())
-        store.close()
-        reopened = WalRecordStore(path, capacity=4)
-        assert list(reopened.records()) == expected
-        reopened.close()
-
-    def test_compaction_rewrites_log_as_live_snapshot(self, tmp_path):
-        path = tmp_path / "t.wal"
-        store = WalRecordStore(path)
-        store._COMPACT_FLOOR = 16  # shrink the floor so a small test triggers it
-        for round_ in range(20):
-            for i in range(8):
-                store.insert(rec(10 + i, content=round_, location=1))
-            store.remove_location(1)
-        assert store.log_ops <= store._compact_ratio * max(1, len(store)) + 8
-        expected = list(store.records())
-        store.close()
-        reopened = WalRecordStore(path)
-        assert list(reopened.records()) == expected
-        reopened.close()
-
-    def test_crash_discards_buffered_appends(self, tmp_path):
-        path = tmp_path / "t.wal"
-        store = WalRecordStore(path, sync_every=1000)
-        for i in range(10):
-            store.insert(rec(10 + i, location=1))
-        assert store.pending_records == 10
-        store.crash()
-        reopened = WalRecordStore(path)
-        assert len(reopened) == 0
-        reopened.close()
-
-
 class TestPagedWalRecovery:
-    """The paged store shares the WAL's recovery guarantees and adds paging.
-
-    Same torn-tail / corrupt-CRC / garbage-file matrix as TestWalRecovery
-    (same log format), plus the paged-specific contracts: cache misses read
-    the record back from the log byte-identically, the LRU stays bounded,
-    and compaction remaps every index entry to its post-rewrite offset.
+    """Log recovery (torn tail, corrupt CRC, garbage file, capacity replay,
+    compaction, crash) plus the paging contracts: cache misses read the
+    record back from the log byte-identically, the LRU stays bounded, and
+    compaction remaps every index entry to its post-rewrite offset.
     """
 
     def _populate(self, tmp_path, n=10, **kwargs):
@@ -353,22 +281,82 @@ class TestPagedWalRecovery:
         assert list(reopened.records()) == expected
         reopened.close()
 
-    def test_wal_and_paged_open_each_others_files(self, tmp_path):
-        # Same format, same extension: a log written by one class must
-        # recover identically under the other.
-        store = WalRecordStore(tmp_path / "t.wal", capacity=6)
+    #: A log written by the retired in-memory-mirror WAL store (same format
+    #: version 1) into a capacity-6 store: nine inserts (three evicted), a
+    #: compaction snapshot of the six survivors, two more inserts (each
+    #: evicting one) and a remove_location(2).
+    PINNED_LOG = bytes.fromhex(
+        "53414c414457414c310a"
+        "010000001f000000000000000da6b4734a46b518472821375a48cb3834779ba246000101e8c6c98f"
+        "010000001f000000000000000eaeece1885a2c9ada68665b6d8299e0e4465de06b000102583a6467"
+        "010000001f000000000000000f16fc9887084702d78011db16d271c65a9cbaeff80001036d2154b6"
+        "010000001f0000000000000010c774dce59dbd5a88ad08fd5d069b633b6a87f6cc000101381b83a7"
+        "010000001f000000000000001114dfbbff29bc70fbe719175b85cf76d637798939000102ca0a9e71"
+        "010000001f00000000000000127650829ec7f190e92d33238b2bbdd8fdf82c5412000103ea43624e"
+        "010000001f00000000000000286312be13982635fb5d6a09461c3d8b6e558dc087000102073894c8"
+        "010000001f0000000000000029e87e60ab62c2e3238ae74a5374b04c0ad1d09b3f000103c59f1403"
+        "0200000003000102c2a72797"
+    )
+
+    @staticmethod
+    def _pinned_ops(store):
         for i in range(9):
-            store.insert(rec(10 + i, location=i))
-        expected = list(store.records())
+            store.insert(rec(10 + i, content=i % 2, location=1 + i % 3))
+        store.compact()
+        store.insert(rec(40, content=1, location=2))
+        store.insert(rec(41, location=3))
+        store.remove_location(2)
+
+    def test_pinned_log_reopens_to_the_same_records(self, tmp_path):
+        path = tmp_path / "t.wal"
+        path.write_bytes(self.PINNED_LOG)
+        store = PagedWalRecordStore(path, capacity=6)
+        assert store.torn_bytes_dropped == 0
+        assert store.log_ops == 9
+        assert list(store.records()) == [
+            rec(15, content=1, location=3),
+            rec(16, content=0, location=1),
+            rec(18, content=0, location=3),
+            rec(41, content=0, location=3),
+        ]
         store.close()
-        paged = PagedWalRecordStore(tmp_path / "t.wal", capacity=6)
-        assert list(paged.records()) == expected
-        paged.insert(rec(99, location=99))
-        expected = list(paged.records())
-        paged.close()
-        plain = WalRecordStore(tmp_path / "t.wal", capacity=6)
-        assert list(plain.records()) == expected
-        plain.close()
+        assert path.read_bytes() == self.PINNED_LOG  # reopening rewrites nothing
+
+    def test_same_operations_write_the_pinned_log(self, tmp_path):
+        store = PagedWalRecordStore(tmp_path / "t.wal", capacity=6)
+        self._pinned_ops(store)
+        assert store.evictions == 5
+        store.close()
+        assert (tmp_path / "t.wal").read_bytes() == self.PINNED_LOG
+
+    def test_no_file_until_the_first_write_out(self, tmp_path):
+        path = tmp_path / "t.wal"
+        store = PagedWalRecordStore(path, sync_every=1000)
+        inserted = [rec(10 + i, location=i) for i in range(5)]
+        for r in inserted:
+            store.insert(r)
+        assert not path.exists()
+        store.flush()
+        # The first write-out creates the file: magic, then one CRC-framed
+        # INSERT per record (format version 1, module docstring).
+        expected = bytearray(WAL_MAGIC)
+        for r in inserted:
+            head = struct.pack(">BI", 0x01, 28 + 2 + 1)
+            body = r.sort_key() + struct.pack(">HB", 1, r.location)
+            expected += head + body + struct.pack(">I", zlib.crc32(head + body))
+        assert path.read_bytes() == expected
+        store.close()
+
+    def test_crash_before_the_first_flush_reopens_empty(self, tmp_path):
+        path = tmp_path / "t.wal"
+        store = PagedWalRecordStore(path, sync_every=1000)
+        store.insert(rec(10, location=1))
+        store.crash()
+        assert not path.exists()
+        reopened = PagedWalRecordStore(path)
+        assert len(reopened) == 0 and reopened.torn_bytes_dropped == 0
+        reopened.close()
+        assert not path.exists()  # nothing to write, still no file
 
     def test_cache_miss_reads_record_back_from_log(self, tmp_path):
         store = PagedWalRecordStore(tmp_path / "t.wal", cache_records=2)
@@ -520,29 +508,85 @@ class TestPagedIndexOneCell:
         assert len(reopened) == 667
 
 
-class TestSqliteIndexing:
-    def test_eviction_probe_uses_the_primary_key(self, tmp_path):
-        store = SqliteRecordStore(tmp_path / "t.sqlite", capacity=4)
-        (plan,) = {
-            row[3]
-            for row in store._conn.execute(
-                "EXPLAIN QUERY PLAN SELECT sort_key, location FROM records"
-                " ORDER BY sort_key, location LIMIT 1"
-            )
-        }
-        # WITHOUT ROWID: the PK *is* the table's B-tree, so the probe must
-        # scan it directly -- no sort step, no temp B-tree.
-        assert "USING INDEX" not in plan.upper() or "PRIMARY KEY" in plan.upper()
-        assert "USE TEMP B-TREE" not in plan.upper()
-        store.close()
+class TestDefaultDbDir:
+    """Without a db_dir, stores go to a tempdir removed at interpreter exit.
 
-    def test_remove_location_uses_the_location_index(self, tmp_path):
-        store = SqliteRecordStore(tmp_path / "t.sqlite")
-        plans = [
-            row[3]
-            for row in store._conn.execute(
-                "EXPLAIN QUERY PLAN DELETE FROM records WHERE location = x'00'"
-            )
+    Each test runs a child interpreter, since the cleanup fires at exit.
+    """
+
+    PRELUDE = """
+import os, sys, tempfile
+from pathlib import Path
+from repro.core.fingerprint import synthetic_fingerprint
+from repro.salad.records import SaladRecord
+from repro.salad.salad import Salad, SaladConfig
+
+def build(seed=3, **kwargs):
+    salad = Salad(SaladConfig(seed=seed, **kwargs))
+    leaves = [salad.add_leaf() for _ in range(8)]
+    salad.insert_records({
+        leaf.identifier: [
+            SaladRecord(fingerprint=synthetic_fingerprint(10 + i, leaf.identifier),
+                        location=leaf.identifier)
+            for i in range(4)
         ]
-        assert any("records_by_location" in p for p in plans)
-        store.close()
+        for leaf in leaves
+    })
+    salad.close_databases()
+    return len(list(Path(tempfile.gettempdir()).glob("salad-db-*/**/*.wal")))
+"""
+
+    @staticmethod
+    def _run(script, tmp_path, *args):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, TMPDIR=str(scratch), PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", TestDefaultDbDir.PRELUDE + script, *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        assert not list(scratch.glob("salad-db-*"))
+        return out
+
+    def test_default_dir_is_removed_at_exit_and_explicit_dir_kept(self, tmp_path):
+        kept = tmp_path / "kept"
+        out = self._run(
+            """
+print(build(db_backend="wal-paged"))
+build(db_backend="wal-paged", db_dir=sys.argv[1])
+pid = os.fork()
+if pid == 0:
+    sys.exit(0)  # a forked child runs the inherited exit hooks
+os.waitpid(pid, 0)
+print(len(list(Path(tempfile.gettempdir()).glob("salad-db-*"))))
+""",
+            tmp_path,
+            str(kept),
+        )
+        assert out == ["8", "1"]  # one log per leaf; the child left the dir alone
+        assert len(list(kept.rglob("*.wal"))) == 8
+
+    def test_pool_workers_share_the_parents_dir(self, tmp_path):
+        # The CLI path: --db-backend wal-paged without --db-dir, then a
+        # fork pool whose workers die without running exit hooks.
+        out = self._run(
+            """
+from repro.perf.parallel import parallel_map
+from repro.salad.storage import set_default_db_backend
+set_default_db_backend("wal-paged")
+print(min(parallel_map(build, [1, 2, 3, 4], workers=2, min_items=2)))
+""",
+            tmp_path,
+        )
+        assert int(out[0]) >= 8

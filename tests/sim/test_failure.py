@@ -111,7 +111,7 @@ class TestCrashRecoveryHarness:
         salad.insert_records(batches)
         return salad, members
 
-    @pytest.mark.parametrize("backend", ["sqlite", "wal"])
+    @pytest.mark.parametrize("backend", ["wal-paged"])
     def test_durable_backends_recover_all_settled_records(self, backend, tmp_path):
         from repro.sim.failure import CrashRecoveryHarness
 
@@ -133,7 +133,7 @@ class TestCrashRecoveryHarness:
             assert len(leaf.database) == before[leaf.identifier]
         salad.close_databases()
 
-    @pytest.mark.parametrize("backend", ["sqlite", "wal"])
+    @pytest.mark.parametrize("backend", ["wal-paged"])
     def test_unflushed_tail_is_lost_but_prediction_still_met(self, backend, tmp_path):
         from repro.core.fingerprint import synthetic_fingerprint
         from repro.salad.records import SaladRecord
@@ -176,7 +176,7 @@ class TestCrashRecoveryHarness:
     def test_rejoined_leaf_serves_inserts_again(self, tmp_path):
         from repro.sim.failure import CrashRecoveryHarness
 
-        salad, members = self._populated_salad("wal", tmp_path)
+        salad, members = self._populated_salad("wal-paged", tmp_path)
         victim = members[0]
         harness = CrashRecoveryHarness()
         harness.crash([victim])
@@ -193,7 +193,7 @@ class TestReplicaSetKill:
     def test_crash_replica_sets_kills_union_once(self, tmp_path):
         from repro.sim.failure import CrashRecoveryHarness
 
-        salad, members = TestCrashRecoveryHarness._populated_salad("wal", tmp_path)
+        salad, members = TestCrashRecoveryHarness._populated_salad("wal-paged", tmp_path)
         ids = [leaf.identifier for leaf in members]
         harness = CrashRecoveryHarness()
         # Overlapping sets: host ids[1] appears in both, crashes once.
@@ -243,7 +243,7 @@ class TestReplicaSetKill:
         from repro.sim.failure import CrashRecoveryHarness
 
         salad, members = TestCrashRecoveryHarness._populated_salad(
-            "sqlite", tmp_path
+            "wal-paged", tmp_path
         )
         kill_set = [leaf.identifier for leaf in members[:2]]
         before = sum(len(salad.leaves[i].database) for i in kill_set)

@@ -8,7 +8,9 @@ Scans README.md, EXPERIMENTS.md, DESIGN.md and ``docs/*.md``:
   ``repro`` itself must exist under ``src/`` accordingly;
 - every ``--flag`` in a ``python -m repro...`` or ``repro-experiments``
   command (fenced or inline) must be an option string of that CLI's
-  argparse parser, so a removed flag cannot linger in the docs.
+  argparse parser, so a removed flag cannot linger in the docs; where the
+  option has ``choices``, the value written after it must be one of them,
+  so a removed choice cannot linger either.
 """
 
 from __future__ import annotations
@@ -61,7 +63,10 @@ def _cited_paths():
 
 
 def _commands():
-    """``(doc, module, flags)`` for every documented CLI invocation."""
+    """``(doc, module, args)`` for every documented CLI invocation.
+
+    *args* are the whitespace-separated tokens after the command.
+    """
     for doc in DOCS:
         text = doc.read_text(encoding="utf-8")
         candidates = []
@@ -72,7 +77,7 @@ def _commands():
         )
         for line in candidates:
             for module, script, args in COMMAND.findall(line):
-                yield doc.name, module or SCRIPTS[script], FLAG.findall(args)
+                yield doc.name, module or SCRIPTS[script], args.split()
 
 
 class _Captured(Exception):
@@ -129,12 +134,23 @@ def test_documented_flags_parse(monkeypatch):
     }
     parsers = {}
     unknown = []
-    for doc, module, flags in commands:
+    for doc, module, args in commands:
         if module not in parsers:
             parsers[module] = _parser_of(module, monkeypatch)
         parser = parsers[module]
         known = parser._option_string_actions if parser is not None else {}
-        for flag in flags:
-            if flag.split("=")[0] not in known:
-                unknown.append(f"{doc}: {module} {flag}")
+        for i, token in enumerate(args):
+            for flag in FLAG.findall(token):
+                if flag not in known:
+                    unknown.append(f"{doc}: {module} {flag}")
+                    continue
+                choices = known[flag].choices
+                if token.startswith(flag + "="):
+                    value = token[len(flag) + 1 :]
+                elif token == flag and i + 1 < len(args):
+                    value = args[i + 1]
+                else:
+                    continue
+                if choices is not None and value not in {str(c) for c in choices}:
+                    unknown.append(f"{doc}: {module} {flag} {value}")
     assert not unknown, "docs use CLI flags the parser rejects:\n" + "\n".join(unknown)
