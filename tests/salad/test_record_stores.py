@@ -24,7 +24,11 @@ from repro.salad.storage import (
     make_record_store,
 )
 
-DURABLE = tuple(b for b in BACKENDS if b != "memory")
+#: Store configurations the contract runs on: each backend, plus "wal", the
+#: paged log with a one-record cache, so nearly every read pages its record
+#: back out of the log (append buffer or file) instead of out of memory.
+STORES = BACKENDS + ("wal",)
+DURABLE = tuple(s for s in STORES if s != "memory")
 
 
 def rec(size: int, content: int = 0, location: int = 1) -> SaladRecord:
@@ -34,10 +38,14 @@ def rec(size: int, content: int = 0, location: int = 1) -> SaladRecord:
 
 
 def make(backend, tmp_path, capacity=None, name="store"):
+    if backend == "wal":
+        return PagedWalRecordStore(
+            tmp_path / f"{name}.wal", capacity=capacity, cache_records=1
+        )
     return make_record_store(backend, capacity=capacity, db_dir=tmp_path, name=name)
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=STORES)
 def backend(request):
     return request.param
 
@@ -149,7 +157,7 @@ class TestBackendEquivalence:
             else:
                 ops.append(("remove", rng.randrange(6)))
         outcomes = {}
-        for backend in BACKENDS:
+        for backend in STORES:
             store = make(backend, tmp_path, capacity=10, name=backend)
             trace = []
             for op, arg in ops:
@@ -164,7 +172,7 @@ class TestBackendEquivalence:
                 store.rejections,
             )
             store.close()
-        assert outcomes["memory"] == outcomes["wal-paged"]
+        assert outcomes["memory"] == outcomes["wal-paged"] == outcomes["wal"]
 
 
 class TestBackendNames:
@@ -176,7 +184,7 @@ class TestBackendNames:
         import importlib
 
         with pytest.raises(ValueError):
-            make(backend, tmp_path)
+            make_record_store(backend, db_dir=tmp_path)
         for cli in ("repro.experiments.runner", "repro.experiments.flagship"):
             with pytest.raises(SystemExit) as exit_info:
                 importlib.import_module(cli).main(["--db-backend", backend])
@@ -220,6 +228,133 @@ class TestDurability:
         assert store.pending_records == 10  # nothing is ever durable
         store.crash()
         assert len(make("memory", tmp_path)) == 0
+
+
+#: A log written by the retired in-memory-mirror WAL store (same format
+#: version 1) into a capacity-6 store: nine inserts (three evicted), a
+#: compaction snapshot of the six survivors, two more inserts (each
+#: evicting one) and a remove_location(2).
+PINNED_LOG = bytes.fromhex(
+    "53414c414457414c310a"
+    "010000001f000000000000000da6b4734a46b518472821375a48cb3834779ba246000101e8c6c98f"
+    "010000001f000000000000000eaeece1885a2c9ada68665b6d8299e0e4465de06b000102583a6467"
+    "010000001f000000000000000f16fc9887084702d78011db16d271c65a9cbaeff80001036d2154b6"
+    "010000001f0000000000000010c774dce59dbd5a88ad08fd5d069b633b6a87f6cc000101381b83a7"
+    "010000001f000000000000001114dfbbff29bc70fbe719175b85cf76d637798939000102ca0a9e71"
+    "010000001f00000000000000127650829ec7f190e92d33238b2bbdd8fdf82c5412000103ea43624e"
+    "010000001f00000000000000286312be13982635fb5d6a09461c3d8b6e558dc087000102073894c8"
+    "010000001f0000000000000029e87e60ab62c2e3238ae74a5374b04c0ad1d09b3f000103c59f1403"
+    "0200000003000102c2a72797"
+)
+
+
+def frame(op, payload):
+    head = struct.pack(">BI", op, len(payload))
+    return head + payload + struct.pack(">I", zlib.crc32(head + payload))
+
+
+def insert_frame(r):
+    return frame(0x01, r.sort_key() + struct.pack(">HB", 1, r.location))
+
+
+class TestWalRecovery:
+    """Recovery of a version-1 log, starting from :data:`PINNED_LOG`.
+
+    The log's bytes come from a fixed file rather than from the store under
+    test, so these cases pin how the format itself is recovered: a torn or
+    corrupt tail, a foreign magic, replay under another capacity,
+    compaction into a snapshot, and a crash on top of an existing log.
+    """
+
+    #: The records PINNED_LOG replays to at its own capacity of 6.
+    LIVE = [
+        rec(15, content=1, location=3),
+        rec(16, content=0, location=1),
+        rec(18, content=0, location=3),
+        rec(41, content=0, location=3),
+    ]
+
+    def _open(self, tmp_path, data=PINNED_LOG, **kwargs):
+        path = tmp_path / "t.wal"
+        path.write_bytes(data)
+        return path, PagedWalRecordStore(path, **{"capacity": 6, **kwargs})
+
+    def test_torn_final_record_is_dropped_not_fatal(self, tmp_path):
+        # A truncated frame: valid header promising more payload than
+        # exists -- what a crash mid-append leaves behind.
+        torn = struct.pack(">BI", 0x01, 500) + b"\x00" * 12
+        path, store = self._open(tmp_path, PINNED_LOG + torn)
+        assert list(store.records()) == self.LIVE
+        assert store.recovered_records == 4
+        assert store.torn_bytes_dropped == 17
+        assert path.read_bytes() == PINNED_LOG  # tail trimmed off the file
+        store.close()
+
+    def test_corrupt_crc_drops_entry_and_everything_after(self, tmp_path):
+        data = bytearray(PINNED_LOG)
+        snapshot_end = len(WAL_MAGIC) + 6 * 40
+        data[snapshot_end + 40 - 1] ^= 0xFF  # CRC byte of the INSERT after it
+        path, store = self._open(tmp_path, bytes(data))
+        # The two valid frames behind the corrupt one go too, so the
+        # compaction snapshot is all that survives.
+        assert [(r.fingerprint.size, r.location) for r in store.records()] == [
+            (13, 1),
+            (14, 2),
+            (15, 3),
+            (16, 1),
+            (17, 2),
+            (18, 3),
+        ]
+        assert store.torn_bytes_dropped == 2 * 40 + 12
+        assert path.read_bytes() == PINNED_LOG[:snapshot_end]
+        store.close()
+
+    def test_garbage_file_is_reset_not_fatal(self, tmp_path):
+        # Well-formed entries behind another format version's magic are
+        # not replayed: the whole file counts as garbage.
+        foreign = b"SALADWAL2\n" + PINNED_LOG[len(WAL_MAGIC) :]
+        path, store = self._open(tmp_path, foreign)
+        assert len(store) == 0
+        assert store.torn_bytes_dropped == len(foreign)
+        store.insert(rec(10, location=1))
+        store.close()
+        assert path.read_bytes() == WAL_MAGIC + insert_frame(rec(10, location=1))
+
+    def test_replay_reruns_the_capacity_policy(self, tmp_path):
+        sizes = {}
+        for capacity in (None, 6, 3):
+            _, store = self._open(tmp_path, capacity=capacity)
+            sizes[capacity] = [r.fingerprint.size for r in store.records()]
+            assert store.log_ops == 9  # same log, whatever survives it
+            store.close()
+        assert sizes == {
+            None: [13, 15, 16, 18, 41],
+            6: [15, 16, 18, 41],
+            3: [18, 41],
+        }
+
+    def test_compaction_rewrites_log_as_live_snapshot(self, tmp_path):
+        path, store = self._open(tmp_path)
+        store.compact()
+        assert store.log_ops == 4
+        assert path.read_bytes() == WAL_MAGIC + b"".join(
+            insert_frame(r) for r in self.LIVE
+        )
+        store.close()
+        _, reopened = self._open(tmp_path, path.read_bytes())
+        assert list(reopened.records()) == self.LIVE
+        reopened.close()
+
+    def test_crash_discards_buffered_appends(self, tmp_path):
+        path, store = self._open(tmp_path, capacity=None, sync_every=1000)
+        for i in range(10):
+            store.insert(rec(50 + i, location=1))
+        assert store.pending_records == 10
+        store.crash()
+        assert path.read_bytes() == PINNED_LOG
+        _, reopened = self._open(tmp_path)
+        assert list(reopened.records()) == self.LIVE
+        reopened.close()
 
 
 class TestPagedWalRecovery:
@@ -281,23 +416,6 @@ class TestPagedWalRecovery:
         assert list(reopened.records()) == expected
         reopened.close()
 
-    #: A log written by the retired in-memory-mirror WAL store (same format
-    #: version 1) into a capacity-6 store: nine inserts (three evicted), a
-    #: compaction snapshot of the six survivors, two more inserts (each
-    #: evicting one) and a remove_location(2).
-    PINNED_LOG = bytes.fromhex(
-        "53414c414457414c310a"
-        "010000001f000000000000000da6b4734a46b518472821375a48cb3834779ba246000101e8c6c98f"
-        "010000001f000000000000000eaeece1885a2c9ada68665b6d8299e0e4465de06b000102583a6467"
-        "010000001f000000000000000f16fc9887084702d78011db16d271c65a9cbaeff80001036d2154b6"
-        "010000001f0000000000000010c774dce59dbd5a88ad08fd5d069b633b6a87f6cc000101381b83a7"
-        "010000001f000000000000001114dfbbff29bc70fbe719175b85cf76d637798939000102ca0a9e71"
-        "010000001f00000000000000127650829ec7f190e92d33238b2bbdd8fdf82c5412000103ea43624e"
-        "010000001f00000000000000286312be13982635fb5d6a09461c3d8b6e558dc087000102073894c8"
-        "010000001f0000000000000029e87e60ab62c2e3238ae74a5374b04c0ad1d09b3f000103c59f1403"
-        "0200000003000102c2a72797"
-    )
-
     @staticmethod
     def _pinned_ops(store):
         for i in range(9):
@@ -309,7 +427,7 @@ class TestPagedWalRecovery:
 
     def test_pinned_log_reopens_to_the_same_records(self, tmp_path):
         path = tmp_path / "t.wal"
-        path.write_bytes(self.PINNED_LOG)
+        path.write_bytes(PINNED_LOG)
         store = PagedWalRecordStore(path, capacity=6)
         assert store.torn_bytes_dropped == 0
         assert store.log_ops == 9
@@ -320,14 +438,14 @@ class TestPagedWalRecovery:
             rec(41, content=0, location=3),
         ]
         store.close()
-        assert path.read_bytes() == self.PINNED_LOG  # reopening rewrites nothing
+        assert path.read_bytes() == PINNED_LOG  # reopening rewrites nothing
 
     def test_same_operations_write_the_pinned_log(self, tmp_path):
         store = PagedWalRecordStore(tmp_path / "t.wal", capacity=6)
         self._pinned_ops(store)
         assert store.evictions == 5
         store.close()
-        assert (tmp_path / "t.wal").read_bytes() == self.PINNED_LOG
+        assert (tmp_path / "t.wal").read_bytes() == PINNED_LOG
 
     def test_no_file_until_the_first_write_out(self, tmp_path):
         path = tmp_path / "t.wal"
